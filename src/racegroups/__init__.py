@@ -9,56 +9,26 @@ reference implementations and a command line front end round it out.
 
 Typical use goes through the pipeline:
 
-    from racegroups import Params, RunConfig, run
-    result = run(events, RunConfig(params=Params()))
+    from racegroups import Mu, Params, RunConfig, run
+    result = run(events, RunConfig(params=Params(epsilon=2000, m=7, mu=Mu(7, 10))))
+
+Exported here: what that use needs, the lower-level layers the README
+describes, the exceptions callers catch and the kind constants.  Import
+everything else from its own module.
 """
 
-from .core import (
-    DEFAULT_EPSILON_MS,
-    DEFAULT_MIN_GROUP,
-    DEFAULT_MU,
-    ControlPoint,
-    Event,
-    Mu,
-    Params,
-    inclusion,
-    strongly_related,
-    weakly_related,
-)
-from .evolution import GraphStack, PairGraph
-from .grouping import (
-    ABSENT,
-    OUTLIER,
-    PENDING,
-    AnomalyRecord,
-    Group,
-    GroupingEngine,
-    StreamOrderError,
-)
-from .io import (
-    MalformedInputError,
-    RowIssue,
-    format_clock,
-    parse_clock,
-    read_course,
-    read_events,
-    read_ground_truth,
-    write_course,
-    write_events,
-    write_ground_truth,
-)
+from .core import Mu, Params
+from .evolution import GraphStack
+from .grouping import GroupingEngine, StreamOrderError
+from .io import MalformedInputError
 from .longterm import (
     KIND_BACKWARD,
     KIND_FORWARD,
     KIND_RELATED,
     KIND_SURVIVING,
     LONGTERM_KINDS,
-    GlobalGraph,
-    LongestResult,
-    LongTermLabels,
     build_global,
     compute_labels,
-    longest,
     longest_all,
 )
 from .patterns import (
@@ -72,40 +42,17 @@ from .patterns import (
     SHRINKS,
     SPLITS,
     SURVIVES,
-    PatternRecord,
-    PatternSet,
     PatternTracker,
     detect_patterns,
 )
-from .pipeline import (
-    AthleteStatus,
-    GroupStats,
-    RaceAnalysis,
-    RunConfig,
-    RunResult,
-    StageTimings,
-    SweepRow,
-    epsilon_sweep,
-    run,
-)
-from .synth import (
-    Behavior,
-    GeneratorConfig,
-    GroundTruth,
-    InfeasibleScriptError,
-    generate,
-    generate_field,
-)
+from .pipeline import RunConfig, run
+from .synth import GeneratorConfig, InfeasibleScriptError, generate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ABSENT",
     "APPEARS",
     "COHERES",
-    "DEFAULT_EPSILON_MS",
-    "DEFAULT_MIN_GROUP",
-    "DEFAULT_MU",
     "DISAPPEARS",
     "DISBANDS",
     "EXPANDS",
@@ -116,58 +63,23 @@ __all__ = [
     "KIND_SURVIVING",
     "LONGTERM_KINDS",
     "MERGES",
-    "OUTLIER",
-    "PENDING",
     "SHRINKS",
     "SPLITS",
     "SURVIVES",
-    "AnomalyRecord",
-    "AthleteStatus",
-    "Behavior",
-    "ControlPoint",
-    "Event",
     "GeneratorConfig",
-    "GlobalGraph",
     "GraphStack",
-    "GroundTruth",
-    "Group",
-    "GroupStats",
     "GroupingEngine",
     "InfeasibleScriptError",
-    "LongTermLabels",
-    "LongestResult",
     "MalformedInputError",
     "Mu",
-    "PairGraph",
     "Params",
-    "PatternRecord",
-    "PatternSet",
     "PatternTracker",
-    "RaceAnalysis",
-    "RowIssue",
     "RunConfig",
-    "RunResult",
-    "StageTimings",
     "StreamOrderError",
-    "SweepRow",
     "build_global",
     "compute_labels",
     "detect_patterns",
-    "epsilon_sweep",
-    "format_clock",
     "generate",
-    "generate_field",
-    "inclusion",
-    "longest",
     "longest_all",
-    "parse_clock",
-    "read_course",
-    "read_events",
-    "read_ground_truth",
     "run",
-    "strongly_related",
-    "weakly_related",
-    "write_course",
-    "write_events",
-    "write_ground_truth",
 ]

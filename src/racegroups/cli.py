@@ -189,7 +189,7 @@ def _gids(ids) -> str:
 
 def _emit_meta(out, text, args, result, n_issues) -> None:
     engine = result.analysis.engine
-    n_athletes = sum(1 for _ in engine.athletes_seen())
+    n_athletes = len(engine.raw_histories())
     cps = engine.known_cps()
     n_cps = (max(cps) + 1) if cps else 0
     if text:

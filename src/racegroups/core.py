@@ -38,25 +38,6 @@ class Event(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ControlPoint:
-    """A timing location on the course.
-
-    index is the 0-based ordinal along the course; distance_m is the
-    optional distance from the start in meters (needed only for pace
-    reports, never for grouping).
-    """
-
-    index: int
-    distance_m: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"control point index must be >= 0, got {self.index}")
-        if self.distance_m is not None and not math.isfinite(self.distance_m):
-            raise ValueError("control point distance must be finite")
-
-
-@dataclass(frozen=True)
 class Mu:
     """Relation threshold as an exact ratio num/den with 1/2 < mu <= 1."""
 
@@ -91,9 +72,6 @@ class Mu:
     def covers(self, part: int, whole: int) -> bool:
         """True iff part/whole >= mu, by integer cross-multiplication."""
         return self.den * part >= self.num * whole
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"

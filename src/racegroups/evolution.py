@@ -29,19 +29,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .core import Mu
 
 
-class DegreeView(NamedTuple):
-    """Relation-edge degrees of one group within one pair.
-
-    For a group on the left side only f_out/b_in are meaningful; for
-    the right side only f_in/b_out.  The others are zero.
-    """
-
-    f_in: int
-    f_out: int
-    b_in: int
-    b_out: int
-
-
 class EdgeAdded(NamedTuple):
     """One promoted relation edge: left ordinal, right ordinal, direction."""
 
@@ -153,26 +140,6 @@ class PairGraph:
 
     # -- queries --------------------------------------------------------
 
-    def degrees_left(self, ordinal: int) -> DegreeView:
-        if not 0 <= ordinal < len(self.left_sizes):
-            raise KeyError(f"no left group {ordinal} in pair {self.left_cp}")
-        return DegreeView(
-            f_in=0,
-            f_out=1 if ordinal in self.fwd else 0,
-            b_in=len(self.bwd_in.get(ordinal, ())),
-            b_out=0,
-        )
-
-    def degrees_right(self, ordinal: int) -> DegreeView:
-        if not 0 <= ordinal < len(self.right_sizes):
-            raise KeyError(f"no right group {ordinal} in pair {self.left_cp}")
-        return DegreeView(
-            f_in=len(self.fwd_in.get(ordinal, ())),
-            f_out=0,
-            b_in=0,
-            b_out=1 if ordinal in self.bwd else 0,
-        )
-
     def strong_partner_of_left(self, ordinal: int) -> int | None:
         """Right ordinal strongly related to this left group, if any."""
         fwd = self.fwd.get(ordinal)
@@ -183,15 +150,6 @@ class PairGraph:
         if back is not None and back[0] == ordinal:
             return right_ordinal
         return None
-
-    def serialize_edges(self) -> list[str]:
-        """One line per relation edge, for debugging and fixtures."""
-        lines = []
-        for left, (right, w) in sorted(self.fwd.items()):
-            lines.append(f"{self.left_cp} {left} {self.right_cp} {right} {w} F")
-        for right, (left, w) in sorted(self.bwd.items()):
-            lines.append(f"{self.left_cp} {left} {self.right_cp} {right} {w} B")
-        return lines
 
     @classmethod
     def from_memberships(
@@ -274,13 +232,3 @@ class GraphStack:
         pair = self.pairs.get(cp)
         if pair is not None:
             pair.delete_tentative_edges()
-
-    def finalized_pairs(self) -> list[PairGraph]:
-        """Pairs in control-point order, skipping trailing/empty ones
-        with no groups on either side."""
-        out = []
-        for left_cp in sorted(self.pairs):
-            pair = self.pairs[left_cp]
-            if pair.left_sizes or pair.right_sizes:
-                out.append(pair)
-        return out

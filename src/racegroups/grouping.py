@@ -22,7 +22,7 @@ Finished groups are immutable and may be read concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .core import Event, Params
 
@@ -76,16 +76,6 @@ class Group:
         return frozenset(self.members)
 
 
-class Component(NamedTuple):
-    """Read-only view of a component (active or finished)."""
-
-    cp: int
-    members: tuple[int, ...]
-    t_first: int
-    t_last: int
-    active: bool
-
-
 class FinishedComponent(NamedTuple):
     """Engine output: a component was decreed finished.
 
@@ -98,16 +88,6 @@ class FinishedComponent(NamedTuple):
     t_first: int
     t_last: int
     group: Group | None
-
-
-class HistoryEntry(NamedTuple):
-    kind: str  # "group" | "outlier" | "pending" | "absent"
-    group: GroupId | None = None
-
-
-_ENTRY_OUTLIER = HistoryEntry("outlier")
-_ENTRY_PENDING = HistoryEntry("pending")
-_ENTRY_ABSENT = HistoryEntry("absent")
 
 
 class GroupingEngine:
@@ -130,10 +110,6 @@ class GroupingEngine:
         self._finalized = False
 
     # -- ingestion ----------------------------------------------------
-
-    def ingest_event(self, event: Event) -> list[FinishedComponent]:
-        """Feed one event; returns the components it finished (0 or 1)."""
-        return self.ingest_many((event,))
 
     def ingest_many(self, events: Iterable[Event], on_finish=None) -> list[FinishedComponent]:
         """Feed a time-ordered batch of events.
@@ -292,23 +268,6 @@ class GroupingEngine:
             return None
         return rec[1][cp]
 
-    def group_history(self, athlete: int) -> list[HistoryEntry]:
-        """History entries indexed by control point, up to the last crossed."""
-        rec = self._athletes.get(athlete)
-        if rec is None:
-            raise KeyError(f"unknown athlete {athlete}")
-        entries = []
-        for cp, code in enumerate(rec[0]):
-            if code >= 0:
-                entries.append(HistoryEntry("group", (cp, code)))
-            elif code == OUTLIER:
-                entries.append(_ENTRY_OUTLIER)
-            elif code == PENDING:
-                entries.append(_ENTRY_PENDING)
-            else:
-                entries.append(_ENTRY_ABSENT)
-        return entries
-
     def groups_at(self, cp: int) -> list[Group]:
         if cp < 0:
             raise IndexError(f"control point {cp} out of range")
@@ -319,24 +278,6 @@ class GroupingEngine:
             raise IndexError(f"control point {cp} out of range")
         return list(self.outliers.get(cp, ()))
 
-    def components_at(self, cp: int) -> list[Component]:
-        """Finished components (groups and outlier batches are not kept
-        apart here) followed by the active one, if any."""
-        if cp < 0:
-            raise IndexError(f"control point {cp} out of range")
-        finished: list[tuple[int, Component]] = []
-        for g in self.groups.get(cp, ()):
-            finished.append(
-                (g.t_first, Component(cp, g.members, g.t_first, g.t_last, False))
-            )
-        comps = [c for _, c in sorted(finished, key=lambda item: item[0])]
-        # outlier members are stored flat; their component boundaries are
-        # not retained, so each outlier batch is not reconstructed here
-        comp = self._active.get(cp)
-        if comp is not None:
-            comps.append(Component(cp, tuple(comp[0]), comp[1], comp[2], True))
-        return comps
-
     def n_components_at(self, cp: int) -> int:
         """How many epsilon-connected components finished at cp.
 
@@ -345,18 +286,19 @@ class GroupingEngine:
         """
         return self.component_counts.get(cp, 0) + (1 if cp in self._active else 0)
 
+    def n_crossed_at(self, cp: int) -> int:
+        """How many athletes crossed cp.
+
+        Every accepted crossing at cp sits in exactly one component
+        there: a group, an outlier batch or the active one.
+        """
+        active = self._active.get(cp)
+        return (
+            sum(g.size for g in self.groups.get(cp, ()))
+            + len(self.outliers.get(cp, ()))
+            + (len(active[0]) if active is not None else 0)
+        )
+
     def known_cps(self) -> list[int]:
         cps = set(self.groups) | set(self.outliers) | set(self._active)
         return sorted(cps)
-
-    def athletes_seen(self) -> Iterator[int]:
-        return iter(self._athletes)
-
-    def crossed_athletes_at(self, cp: int) -> list[int]:
-        """Everyone with a non-absent slot at cp (group, outlier or pending)."""
-        out = []
-        for athlete, rec in self._athletes.items():
-            codes = rec[0]
-            if cp < len(codes) and codes[cp] != ABSENT:
-                out.append(athlete)
-        return out

@@ -45,15 +45,26 @@ class RowIssue:
 
 
 def parse_clock(text: str) -> int:
-    """HH:MM:SS or HH:MM:SS.fff (hours unbounded) to milliseconds."""
+    """HH:MM:SS or HH:MM:SS.fff (hours unbounded) to milliseconds.
+
+    Every field is ASCII digits.  Fraction digits past the millisecond
+    are rounded half up, in integers.
+    """
     parts = text.strip().split(":")
     if len(parts) != 3:
         raise ValueError(f"not a clock time: {text!r}")
-    hours, minutes = int(parts[0]), int(parts[1])
-    seconds = float(parts[2])
-    if hours < 0 or not 0 <= minutes < 60 or not 0 <= seconds < 60:
+    hours, minutes, seconds = parts
+    seconds, dot, fraction = seconds.partition(".")
+    fields = (hours, minutes, seconds, fraction) if dot else (hours, minutes, seconds)
+    if not all(f.isascii() and f.isdigit() for f in fields):
         raise ValueError(f"not a clock time: {text!r}")
-    return round((hours * 3600 + minutes * 60 + seconds) * 1000)
+    if int(minutes) >= 60 or int(seconds) >= 60:
+        raise ValueError(f"not a clock time: {text!r}")
+    ms = (int(hours) * 3600 + int(minutes) * 60 + int(seconds)) * 1000
+    if len(fraction) <= 3:
+        return ms + int(fraction.ljust(3, "0"))
+    scale = 10 ** (len(fraction) - 3)
+    return ms + (int(fraction) + scale // 2) // scale
 
 
 def format_clock(ms: int) -> str:
@@ -82,7 +93,8 @@ def read_events(
 
     Raises MalformedInputError when nothing could be read.
     """
-    with open(path, newline="") as fh:
+    # utf-8-sig drops the byte-order mark spreadsheet exports put first
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -169,7 +181,7 @@ def read_course(path: str) -> dict[int, int]:
     with the index.
     """
     course: dict[int, int] = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not cell.strip() for cell in row):
                 continue

@@ -40,16 +40,18 @@ _LABEL_OF_KIND = {
 
 
 class GlobalGraph:
-    """Union of the pair graphs: group-id vertices, relation edges."""
+    """Union of the pair graphs: group-id vertices, relation out-edges.
 
-    __slots__ = ("counts", "fwd", "bwd", "fwd_in", "bwd_in")
+    Every vertex has at most one outgoing edge in each direction, so two
+    maps hold the whole edge set; in-edges are never stored.
+    """
+
+    __slots__ = ("counts", "fwd", "bwd")
 
     def __init__(self) -> None:
         self.counts: dict[int, int] = {}  # cp -> number of groups
-        self.fwd: dict[GroupId, GroupId] = {}
-        self.bwd: dict[GroupId, GroupId] = {}
-        self.fwd_in: dict[GroupId, list[GroupId]] = {}
-        self.bwd_in: dict[GroupId, list[GroupId]] = {}
+        self.fwd: dict[GroupId, GroupId] = {}  # S -> S' when S ~ S'
+        self.bwd: dict[GroupId, GroupId] = {}  # S' -> S when S' ~ S
 
     def cps(self) -> list[int]:
         return sorted(self.counts)
@@ -64,19 +66,6 @@ class GlobalGraph:
     def n_vertices(self) -> int:
         return sum(self.counts.values())
 
-    def strong_pred(self, v: GroupId) -> GroupId | None:
-        u = self.bwd.get(v)
-        if u is not None and self.fwd.get(u) == v:
-            return u
-        return None
-
-    def related_preds(self, v: GroupId) -> list[GroupId]:
-        preds = list(self.fwd_in.get(v, ()))
-        u = self.bwd.get(v)
-        if u is not None and u not in preds:
-            preds.append(u)
-        return preds
-
     def add_pair(self, pair: PairGraph) -> None:
         lcp, rcp = pair.left_cp, pair.right_cp
         for cp, n in ((lcp, len(pair.left_sizes)), (rcp, len(pair.right_sizes))):
@@ -88,13 +77,9 @@ class GlobalGraph:
                 )
             self.counts[cp] = n
         for left, (right, _) in pair.fwd.items():
-            u, v = (lcp, left), (rcp, right)
-            self.fwd[u] = v
-            self.fwd_in.setdefault(v, []).append(u)
+            self.fwd[(lcp, left)] = (rcp, right)
         for right, (left, _) in pair.bwd.items():
-            u, v = (lcp, left), (rcp, right)
-            self.bwd[v] = u
-            self.bwd_in.setdefault(u, []).append(v)
+            self.bwd[(rcp, right)] = (lcp, left)
 
 
 def build_global(pairs: Sequence[PairGraph]) -> GlobalGraph:
@@ -115,52 +100,51 @@ def build_global(pairs: Sequence[PairGraph]) -> GlobalGraph:
     return graph
 
 
-def sweep_forward_labels(
-    graph: GlobalGraph,
-    seed: dict[str, dict[GroupId, int]] | None = None,
-    start_cp: int | None = None,
-) -> dict[str, dict[GroupId, int]]:
+def sweep_forward_labels(graph: GlobalGraph) -> dict[str, dict[GroupId, int]]:
     """One ascending sweep computing lpS, lpF and lpR.
 
-    With seed labels from a prefix of the race and start_cp set to the
-    first new control point, only the new levels are scanned; the
-    recurrences read one level back, so appending control points
-    extends previous labels instead of recomputing them.
+    Vertices are visited in (cp, ordinal) order, so every label pushed
+    into a vertex from the level before is in place when it is reached.
+    A vertex pulls lpR through its backward edge and pushes all three
+    labels along its forward edge (lpS only when that edge is strong).
     """
-    if seed is None:
-        lpS: dict[GroupId, int] = {}
-        lpF: dict[GroupId, int] = {}
-        lpR: dict[GroupId, int] = {}
-    else:
-        lpS, lpF, lpR = seed["lpS"], seed["lpF"], seed["lpR"]
-    for cp in graph.cps():
-        if start_cp is not None and cp < start_cp:
-            continue
-        for v in graph.level(cp):
-            strong = graph.strong_pred(v)
-            lpS[v] = lpS[strong] + 1 if strong is not None else 0
-            lpF[v] = max(
-                (lpF[u] + 1 for u in graph.fwd_in.get(v, ())), default=0
-            )
-            lpR[v] = max(
-                (lpR[u] + 1 for u in graph.related_preds(v)), default=0
-            )
+    fwd, bwd = graph.fwd, graph.bwd
+    lpS: dict[GroupId, int] = {}
+    lpF: dict[GroupId, int] = {}
+    lpR: dict[GroupId, int] = {}
+    for v in graph.vertices():
+        s = lpS.setdefault(v, 0)
+        f = lpF.setdefault(v, 0)
+        r = lpR.get(v, 0)
+        u = bwd.get(v)
+        if u is not None and lpR[u] >= r:
+            r = lpR[u] + 1
+        lpR[v] = r
+        w = fwd.get(v)
+        if w is not None:
+            if bwd.get(w) == v:
+                lpS[w] = s + 1
+            if lpF.get(w, 0) <= f:
+                lpF[w] = f + 1
+            if lpR.get(w, 0) <= r:
+                lpR[w] = r + 1
     return {"lpS": lpS, "lpF": lpF, "lpR": lpR}
 
 
 def sweep_backward_labels(graph: GlobalGraph) -> dict[GroupId, int]:
-    """One descending sweep computing lpB.
+    """One descending sweep computing lpB, pushed along backward edges.
 
-    There is no incremental variant: a new last control point can
-    raise lpB everywhere upstream, so callers recompute.  The sweep is
-    linear in vertices plus edges, which keeps that cheap.
+    A new last control point can raise lpB everywhere upstream, so
+    callers recompute; the sweep is linear in vertices plus edges.
     """
+    bwd = graph.bwd
     lpB: dict[GroupId, int] = {}
     for cp in reversed(graph.cps()):
-        for v in graph.level(cp):
-            lpB[v] = max(
-                (lpB[w] + 1 for w in graph.bwd_in.get(v, ())), default=0
-            )
+        for w in graph.level(cp):
+            b = lpB.setdefault(w, 0)
+            u = bwd.get(w)
+            if u is not None and lpB.get(u, 0) <= b:
+                lpB[u] = b + 1
     return lpB
 
 
@@ -200,30 +184,41 @@ class LongestResult:
         )
 
 
-def _walk_back(graph: GlobalGraph, labels, v: GroupId, kind: str):
-    """Predecessor chain for the path-ending vertex of lpS/lpF/lpR."""
+def _linked(graph: GlobalGraph, kind: str, u: GroupId, v: GroupId) -> bool:
+    """Whether the step u -> v (v one control point after u) extends a
+    behavior of this kind."""
+    if kind == KIND_SURVIVING:
+        return graph.fwd.get(u) == v and graph.bwd.get(v) == u
+    if kind == KIND_FORWARD:
+        return graph.fwd.get(u) == v
+    if kind == KIND_BACKWARD:
+        return graph.bwd.get(v) == u
+    return graph.fwd.get(u) == v or graph.bwd.get(v) == u
+
+
+def _walk(graph: GlobalGraph, labels, v: GroupId, kind: str) -> list[GroupId]:
+    """The path whose label ends (for lpB: starts) at v, in ascending
+    control-point order.  Each step takes the first group, in ordinal
+    order, of the adjacent level that is linked to v and whose label is
+    one less."""
     path = [v]
     while labels[v] > 0:
         want = labels[v] - 1
-        if kind == KIND_SURVIVING:
-            candidates = [graph.strong_pred(v)]
-        elif kind == KIND_FORWARD:
-            candidates = graph.fwd_in.get(v, ())
+        if kind == KIND_BACKWARD:
+            v = next(
+                w
+                for w in graph.level(v[0] + 1)
+                if labels[w] == want and _linked(graph, kind, v, w)
+            )
         else:
-            candidates = graph.related_preds(v)
-        v = min(u for u in candidates if u is not None and labels[u] == want)
+            v = next(
+                u
+                for u in graph.level(v[0] - 1)
+                if labels[u] == want and _linked(graph, kind, u, v)
+            )
         path.append(v)
-    path.reverse()
-    return path
-
-
-def _walk_ahead(graph: GlobalGraph, labels, v: GroupId):
-    """Successor chain for the path-starting vertex of lpB."""
-    path = [v]
-    while labels[v] > 0:
-        want = labels[v] - 1
-        v = min(w for w in graph.bwd_in.get(v, ()) if labels[w] == want)
-        path.append(v)
+    if kind != KIND_BACKWARD:
+        path.reverse()
     return path
 
 
@@ -244,10 +239,7 @@ def longest(graph: GlobalGraph, labels: LongTermLabels, kind: str) -> LongestRes
             best, best_value = v, value
     if best is None:
         return LongestResult(kind, 0, 0, ())
-    if kind == KIND_BACKWARD:
-        path = _walk_ahead(graph, table, best)
-    else:
-        path = _walk_back(graph, table, best, kind)
+    path = _walk(graph, table, best, kind)
     return LongestResult(kind, best_value, best_value + 1, tuple(path))
 
 

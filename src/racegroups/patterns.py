@@ -39,7 +39,7 @@ are not guessed away; they are reported as diagnostics:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from .evolution import EdgeAdded, PairGraph
@@ -83,19 +83,6 @@ class PatternRecord:
     targets: tuple[GroupId, ...] = ()  # splits / disbands
     absorbed: tuple[GroupId, ...] = ()  # survives
     spawned: tuple[GroupId, ...] = ()  # survives
-    provisional: bool = False
-
-    def participants(self) -> tuple[GroupId, ...]:
-        out = []
-        if self.source is not None:
-            out.append(self.source)
-        if self.target is not None:
-            out.append(self.target)
-        out.extend(self.sources)
-        out.extend(self.targets)
-        out.extend(self.absorbed)
-        out.extend(self.spawned)
-        return tuple(out)
 
     def sort_key(self):
         return (
@@ -246,9 +233,9 @@ def corner_flags(pair: PairGraph) -> tuple[tuple[str, GroupId], ...]:
     return tuple(sorted(flags))
 
 
-def detect_patterns(pair: PairGraph, require_complete: bool = True) -> PatternSet:
+def detect_patterns(pair: PairGraph) -> PatternSet:
     """Classify every group of a finalized pair (batch mode)."""
-    if require_complete and pair.tentative:
+    if pair.tentative:
         raise IncompletePairError(
             f"pair ({pair.left_cp},{pair.right_cp}) still has tentative edges"
         )
@@ -347,11 +334,10 @@ class PatternTracker:
                 state.disappears[left] = rec
 
     def snapshot(self, pair: PairGraph) -> PatternSet:
-        """Current (possibly transitory) records for one pair."""
+        """Current records for one pair; they are transitory until the
+        tracker is sealed, which the set's `finalized` flag tells."""
         state = self._state(pair.left_cp)
         records = set(state.record_refs) | set(state.disappears.values())
-        if not self._sealed:
-            records = {replace(rec, provisional=True) for rec in records}
         return PatternSet(
             pair=(pair.left_cp, pair.right_cp),
             records=tuple(sorted(records, key=PatternRecord.sort_key)),

@@ -19,6 +19,8 @@ from .evolution import GraphStack, PairGraph
 from .grouping import (
     ABSENT,
     ANOMALY_PACE,
+    OUTLIER,
+    PENDING,
     AnomalyRecord,
     GroupingEngine,
 )
@@ -102,7 +104,6 @@ class RaceAnalysis:
         self.stack = GraphStack(config.params.mu, self.engine.raw_histories())
         self.tracker = PatternTracker() if config.mode == MODE_ONLINE else None
         self._sealed_sets: dict[int, PatternSet] | None = None
-        self._finalized = False
 
     # -- streaming ----------------------------------------------------
 
@@ -119,7 +120,6 @@ class RaceAnalysis:
 
     def finalize(self) -> None:
         self.engine.finalize_all(on_finish=self._dispatch)
-        self._finalized = True
 
     # -- graphs and patterns -------------------------------------------
 
@@ -159,7 +159,7 @@ class RaceAnalysis:
                     n_groups=len(groups),
                     n_outliers=len(engine.outliers_at(cp)),
                     largest_group=max((g.size for g in groups), default=0),
-                    crossed=len(engine.crossed_athletes_at(cp)),
+                    crossed=engine.n_crossed_at(cp),
                 )
             )
         return stats
@@ -199,9 +199,8 @@ class RaceAnalysis:
                 segment_pace = _pace(
                     t_last - t_prev, course[c_last] - course[c_prev]
                 )
-        history = tuple(
-            _history_token(entry) for entry in self.engine.group_history(athlete)
-        )
+        codes = self.engine.raw_histories()[athlete][0]
+        history = tuple(_history_token(cp, code) for cp, code in enumerate(codes))
         return AthleteStatus(
             athlete=athlete,
             last_cp=last_cp,
@@ -269,13 +268,12 @@ def _pace(delta_ms: int, delta_m: int) -> float:
     return (delta_ms / 60000.0) / (delta_m / 1000.0)
 
 
-def _history_token(entry) -> str:
-    if entry.kind == "group":
-        cp, ordinal = entry.group
-        return f"g{cp}.{ordinal}"
-    if entry.kind == "outlier":
+def _history_token(cp: int, code: int) -> str:
+    if code >= 0:
+        return f"g{cp}.{code}"
+    if code == OUTLIER:
         return "solo"
-    if entry.kind == "pending":
+    if code == PENDING:
         return "pending"
     return "absent"
 

@@ -3,12 +3,11 @@ and the streaming construction against a from-scratch rebuild."""
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 
 from conftest import cohort_streams, complete_pairs, run_stream
 from racegroups.core import Mu
-from racegroups.evolution import DegreeView, PairGraph
+from racegroups.evolution import PairGraph
 from racegroups.oracles import oracle_groups
 
 MU = Mu(7, 10)
@@ -30,8 +29,6 @@ class TestPromotion:
         assert {(e.forward) for e in added} == {True, False}
         assert pair.fwd[0] == (0, 9)
         assert pair.bwd[0] == (0, 9)
-        assert pair.degrees_left(0) == DegreeView(0, 1, 1, 0)
-        assert pair.degrees_right(0) == DegreeView(1, 0, 0, 1)
 
     def test_containment_promotes_forward_only(self):
         # a 4-athlete group fully inside a 12-athlete group: 4/4 covers,
@@ -40,7 +37,6 @@ class TestPromotion:
         added = pair.update_precursor(0, {0: 4}, 0)
         assert [e.forward for e in added] == [True]
         assert pair.bwd == {}
-        assert pair.degrees_right(0) == DegreeView(1, 0, 0, 0)
 
     def test_exact_threshold_counts(self):
         # 7 of 10 at mu=7/10 is a relation; 6 of 10 is not
@@ -48,26 +44,12 @@ class TestPromotion:
         assert [e.forward for e in pair.update_precursor(0, {0: 7}, 0)] == [True]
         assert pair.update_precursor(1, {1: 6}, 0) == []
 
-    def test_degrees_unknown_ordinal(self):
-        pair = make_pair([1], [1])
-        with pytest.raises(KeyError):
-            pair.degrees_left(1)
-        with pytest.raises(KeyError):
-            pair.degrees_right(-1)
-
     def test_strong_partner(self):
         pair = make_pair([10, 4], [10, 12])
         pair.update_precursor(0, {0: 9}, 0)
         pair.update_precursor(1, {1: 4}, 0)
         assert pair.strong_partner_of_left(0) == 0
         assert pair.strong_partner_of_left(1) is None  # forward only
-
-    def test_serialize_edges(self):
-        pair = PairGraph(3, MU)
-        pair.register_left(0, 10)
-        pair.register_right(0, 10)
-        pair.update_precursor(0, {0: 9}, 0)
-        assert pair.serialize_edges() == ["3 0 4 0 9 F", "3 0 4 0 9 B"]
 
 
 class TestTentative:

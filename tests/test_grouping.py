@@ -63,9 +63,9 @@ class TestIngest:
 
     def test_stream_order_enforced(self):
         eng = GroupingEngine(params())
-        eng.ingest_event(Event(0, 0, 1000))
+        eng.ingest_many([Event(0, 0, 1000)])
         with pytest.raises(StreamOrderError):
-            eng.ingest_event(Event(1, 0, 999))
+            eng.ingest_many([Event(1, 0, 999)])
 
     def test_equal_timestamps_processed_in_input_order(self):
         eng = GroupingEngine(params(epsilon=0, m=2))
@@ -124,31 +124,27 @@ class TestHistories:
         ]
         eng.ingest_many(events)
         eng.finalize_all()
-        hist = eng.group_history(2)
-        assert hist[0].kind == "group" and hist[0].group == (0, 0)
-        assert hist[1].kind == "outlier"
-        assert hist[2].kind == "group"
+        assert [eng.history_code(2, cp) for cp in range(3)] == [0, OUTLIER, 0]
 
     def test_pending_while_component_active(self):
         eng = GroupingEngine(params())
-        eng.ingest_event(Event(7, 0, 0))
-        assert eng.group_history(7) == [eng.group_history(7)[0]]
-        assert eng.group_history(7)[0].kind == "pending"
+        eng.ingest_many([Event(7, 0, 0)])
         assert eng.history_code(7, 0) == PENDING
+        assert eng.history_code(7, 1) == ABSENT  # not crossed yet
 
     def test_absent_for_skipped(self):
         eng = GroupingEngine(params())
         eng.ingest_many([Event(0, 0, 0), Event(0, 2, 1000)])
-        assert [e.kind for e in eng.group_history(0)] == [
-            "pending",
-            "absent",
-            "pending",
+        assert [eng.history_code(0, cp) for cp in range(3)] == [
+            PENDING,
+            ABSENT,
+            PENDING,
         ]
 
     def test_unknown_athlete(self):
         eng = GroupingEngine(params())
         with pytest.raises(KeyError):
-            eng.group_history(99)
+            eng.history_code(99, 0)
 
 
 class TestFinalizeAll:
@@ -171,21 +167,21 @@ class TestFinalizeAll:
         eng = GroupingEngine(params())
         eng.finalize_all()
         with pytest.raises(StreamOrderError):
-            eng.ingest_event(Event(0, 0, 0))
+            eng.ingest_many([Event(0, 0, 0)])
 
 
 class TestAccessors:
     def test_empty_cp(self):
         eng = GroupingEngine(params())
         assert eng.groups_at(5) == []
-        assert eng.components_at(5) == []
+        assert eng.n_components_at(5) == 0
+        assert eng.n_crossed_at(5) == 0
 
     def test_components_include_active(self):
         eng = GroupingEngine(params(epsilon=1000, m=2))
         eng.ingest_many([Event(0, 0, 0), Event(1, 0, 100), Event(2, 0, 5000)])
-        comps = eng.components_at(0)
-        assert len(comps) == 2
-        assert comps[-1].active and comps[-1].members == (2,)
+        assert eng.n_components_at(0) == 2
+        assert eng.n_crossed_at(0) == 3
 
     def test_group_count_bounded_by_n_over_m(self):
         eng = GroupingEngine(params(epsilon=0, m=2))
@@ -280,3 +276,24 @@ def test_component_count_nonincreasing_in_epsilon(raw, m):
     for small, big in zip(counts, counts[1:]):
         for cp, n in big.items():
             assert n <= small[cp]
+
+
+@given(raw=event_streams, eps=st.integers(0, 3000), m=st.integers(1, 6), cut=st.integers(0, 120))
+@settings(max_examples=100, deadline=None)
+def test_crossed_counts_every_accepted_crossing(raw, eps, m, cut):
+    """n_crossed_at counts component sizes, the active component
+    included: mid-stream and after the broom wagon it equals the
+    crossings fed so far at each control point."""
+    events = _clean_stream(raw)
+    eng = GroupingEngine(params(epsilon=eps, m=m))
+
+    def assert_counts(fed):
+        for cp in eng.known_cps():
+            assert eng.n_crossed_at(cp) == sum(1 for e in fed if e.cp == cp)
+
+    eng.ingest_many(events[:cut])
+    assert_counts(events[:cut])
+    eng.ingest_many(events[cut:])
+    assert_counts(events)
+    eng.finalize_all()
+    assert_counts(events)

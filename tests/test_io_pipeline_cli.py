@@ -6,6 +6,8 @@ import io as _io
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from racegroups.core import Event, Mu, Params
 from racegroups.cli import main
@@ -60,9 +62,29 @@ class TestClock:
             assert format_clock(parse_clock(text)) == text
         assert parse_clock("01:00:00.250") == 3_600_250
         assert format_clock(3_600_250) == "01:00:00.250"
+        # sub-millisecond digits round half up, in integers
+        assert parse_clock("00:00:00.0005") == 1
+        assert parse_clock("00:00:00.0015") == 2
+        assert parse_clock("00:00:00.0025") == 3
+        assert parse_clock("00:00:00.0004999") == 0
+
+    @given(st.integers(0, 10**10))
+    def test_format_then_parse_is_identity(self, ms):
+        assert parse_clock(format_clock(ms)) == ms
 
     def test_rejects_junk(self):
-        for text in ("1:2", "xx:00:00", "00:61:00", "00:00:-3"):
+        for text in (
+            "1:2",
+            "xx:00:00",
+            "00:61:00",
+            "00:00:-3",
+            "00:00:1e1",
+            "00:00:nan",
+            "00:5_0:00",
+            "00:00:+5",
+            "00:00:05.",
+            "00:00:.5",
+        ):
             with pytest.raises(ValueError):
                 parse_clock(text)
 
@@ -90,6 +112,13 @@ class TestLongFormat:
         events, issues = read_events(str(path))
         assert [e.athlete for e in events] == [1, 5]
         assert [i.line for i in issues] == [3, 5, 6]
+
+    def test_byte_order_mark_before_header(self, tmp_path):
+        path = tmp_path / "excel.csv"
+        path.write_text(
+            "\ufeffathlete_id,control_point,time_ms\n1,0,1000\n", encoding="utf-8"
+        )
+        assert read_events(str(path)) == ([Event(1, 0, 1000)], [])
 
     def test_fully_rejected_file_is_an_error(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -136,6 +165,8 @@ class TestCourse:
         path = tmp_path / "course.csv"
         path.write_text("index,meters\n0,5000\n1,10000\n2,21097\n")
         assert read_course(str(path)) == {0: 5000, 1: 10000, 2: 21097}
+        path.write_text("\ufeff0,5000\n1,10000\n", encoding="utf-8")
+        assert read_course(str(path)) == {0: 5000, 1: 10000}
 
     def test_distances_must_increase(self, tmp_path):
         path = tmp_path / "course.csv"

@@ -19,8 +19,6 @@ from racegroups.longterm import (
     compute_labels,
     longest,
     longest_all,
-    sweep_backward_labels,
-    sweep_forward_labels,
 )
 from racegroups.oracles import oracle_longterm
 
@@ -228,20 +226,3 @@ class TestProperties:
                     assert graph.bwd.get(v) == u
                 else:
                     assert graph.fwd.get(u) == v or graph.bwd.get(v) == u
-
-    @settings(max_examples=100, deadline=None)
-    @given(cohort_streams())
-    def test_incremental_extension_matches_batch(self, case):
-        events, params = case
-        engine, stack, _ = run_stream(events, params)
-        pairs = complete_pairs(engine, stack)
-        if len(pairs) < 2:
-            return
-        whole = build_global(pairs)
-        prefix = build_global(pairs[:-1])
-        grown = sweep_forward_labels(prefix)
-        grown = sweep_forward_labels(
-            whole, seed=grown, start_cp=pairs[-1].right_cp
-        )
-        batch = sweep_forward_labels(whole)
-        assert grown == batch
