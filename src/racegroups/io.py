@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence, TextIO
 
 from .core import Event
@@ -110,29 +111,44 @@ def read_events(
     if not events:
         detail = f"; first issue: {issues[0]}" if issues else ""
         raise MalformedInputError(f"{path}: no usable rows{detail}")
-    events.sort(key=lambda e: (e.time, e.cp, e.athlete))
+    events.sort(key=itemgetter(2, 1, 0))  # (time, cp, athlete)
     return events, issues
 
 
 def _read_long(reader) -> tuple[list[Event], list[RowIssue]]:
     events: list[Event] = []
     issues: list[RowIssue] = []
+    append = events.append
+    new = tuple.__new__  # Event(...) runs a Python-level __new__ per row
     for lineno, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
         try:
-            if len(row) != 3:
-                raise ValueError(f"expected 3 columns, got {len(row)}")
-            athlete = _parse_athlete(row[0])
-            cp = int(row[1].strip())
-            time = int(row[2].strip())
-            if cp < 0 or time < 0:
-                raise ValueError("negative control point or time")
-        except ValueError as exc:
-            issues.append(RowIssue(lineno, str(exc)))
+            athlete, cp, time = map(int, row)  # int() skips spaces and tabs
+        except ValueError:
+            try:
+                cells = _parse_long_row(row)
+            except ValueError as exc:
+                issues.append(RowIssue(lineno, str(exc)))
+                continue
+            if cells is None:
+                continue  # blank row
+            athlete, cp, time = cells
+        if cp < 0 or time < 0:
+            issues.append(RowIssue(lineno, "negative control point or time"))
             continue
-        events.append(Event(athlete, cp, time))
+        append(new(Event, (athlete, cp, time)))
     return events, issues
+
+
+def _parse_long_row(row: list[str]) -> tuple[int, ...] | None:
+    """A row the fast path rejected, parsed cell by cell: None when it
+    is blank, else its three integers, or ValueError naming the first
+    problem.  Cells padded with \\x1c-\\x1f land here and are valid:
+    str.strip() removes those characters, int() does not."""
+    if all(not cell.strip() for cell in row):
+        return None
+    if len(row) != 3:
+        raise ValueError(f"expected 3 columns, got {len(row)}")
+    return tuple(int(cell.strip()) for cell in row)
 
 
 def _read_wide(reader, n_cps: int) -> tuple[list[Event], list[RowIssue]]:
@@ -177,8 +193,8 @@ def write_events(path: str, events: Iterable[Event]) -> None:
 def read_course(path: str) -> dict[int, int]:
     """Control point distances: one `index,meters` line each.
 
-    A header line is tolerated.  Distances must be strictly increasing
-    with the index.
+    Line 1 is a header when its first cell is not an integer.
+    Distances must be strictly increasing with the index.
     """
     course: dict[int, int] = {}
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -188,7 +204,7 @@ def read_course(path: str) -> dict[int, int]:
             try:
                 cp, meters = int(row[0].strip()), int(row[1].strip())
             except (ValueError, IndexError):
-                if lineno == 1:
+                if lineno == 1 and not _is_int(row[0]):
                     continue
                 raise ValueError(f"{path}: line {lineno}: expected `index,meters`")
             if cp in course:
@@ -201,6 +217,14 @@ def read_course(path: str) -> dict[int, int]:
         if b <= a:
             raise ValueError(f"{path}: distances must increase with the index")
     return course
+
+
+def _is_int(cell: str) -> bool:
+    try:
+        int(cell.strip())
+    except ValueError:
+        return False
+    return True
 
 
 def write_course(path: str, points: Iterable[tuple[int, int]]) -> None:

@@ -229,28 +229,27 @@ class RaceAnalysis:
         course = self.config.course
         if course is not None:
             factor = self.config.pace_factor
-            for athlete in sorted(self.engine.raw_histories()):
+            points = sorted(course.items())
+            histories = self.engine.raw_histories()
+            for athlete in sorted(histories):
+                codes, times, _ = histories[athlete]
+                n_cps = len(codes)
                 series = [
-                    (cp, t)
-                    for cp, t in self._crossed_series(athlete)
-                    if cp in course
+                    (cp, times[cp], meters)
+                    for cp, meters in points
+                    if cp < n_cps and codes[cp] != ABSENT
                 ]
-                for i in range(2, len(series) + 1):
+                if len(series) < 3:
+                    continue  # the first segment has no history to average
+                _, t0, d0 = series[0]
+                _, t_prev, d_prev = series[1]
+                # a pace key is new here: cps increase along a history
+                # and the engine records no pace jumps
+                for c_cur, t_cur, d_cur in series[2:]:
                     # running average over everything before this segment
-                    (c0, t0), (c_prev, t_prev), (c_cur, t_cur) = (
-                        series[0],
-                        series[i - 2],
-                        series[i - 1],
-                    )
-                    if c_prev == c0:
-                        continue  # no history to average yet
-                    avg = _pace(t_prev - t0, course[c_prev] - course[c0])
-                    seg = _pace(t_cur - t_prev, course[c_cur] - course[c_prev])
+                    avg = ((t_prev - t0) / 60000.0) / ((d_prev - d0) / 1000.0)
+                    seg = ((t_cur - t_prev) / 60000.0) / ((d_cur - d_prev) / 1000.0)
                     if seg > factor * avg or seg * factor < avg:
-                        key = (athlete, ANOMALY_PACE, c_cur)
-                        if key in seen:
-                            continue
-                        seen.add(key)
                         out.append(
                             AnomalyRecord(
                                 athlete,
@@ -260,6 +259,7 @@ class RaceAnalysis:
                                 f"average {avg:.2f} (factor {factor:g})",
                             )
                         )
+                    t_prev, d_prev = t_cur, d_cur
         return out
 
 

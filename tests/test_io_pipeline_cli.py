@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import io as _io
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from racegroups.core import Event, Mu, Params
@@ -14,11 +15,13 @@ from racegroups.cli import main
 from racegroups.grouping import ANOMALY_PACE, ANOMALY_SKIPPED
 from racegroups.io import (
     MalformedInputError,
+    RowIssue,
     format_clock,
     parse_clock,
     read_course,
     read_events,
     read_ground_truth,
+    write_course,
     write_events,
     write_ground_truth,
 )
@@ -31,7 +34,9 @@ from racegroups.pipeline import (
     epsilon_sweep,
     run,
 )
-from racegroups.synth import Behavior, GeneratorConfig, generate
+from racegroups.synth import Behavior, GeneratorConfig, generate, generate_field
+
+DATA = Path(__file__).parent / "data"
 
 PARAMS = Params(epsilon=2000, m=7, mu=Mu(7, 10))
 
@@ -89,6 +94,88 @@ class TestClock:
                 parse_clock(text)
 
 
+# Long-form fuzzing: rows from write_events, padded, with CRLF or LF
+# endings, an optional byte-order mark, blank lines and bad rows mixed
+# in.  Each drawn line is (text, event or None, issue reason or None).
+
+# \x1c is whitespace to str.strip() but not to int()
+_PAD = st.sampled_from(["", " ", "  ", "\t", " \t ", "\x1c"])
+_NOT_INT = st.sampled_from(["x", "", "1.5", "one", "0x1f", "--2", "1e3", "\u00bd"])
+
+
+@st.composite
+def _padded(draw, cells):
+    return ",".join(draw(_PAD) + c + draw(_PAD) for c in cells)
+
+
+def _int_message(cell: str) -> str:
+    try:
+        int(cell.strip())
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{cell!r} parses")
+
+
+_event_lines = st.builds(
+    Event,
+    athlete=st.integers(-5, 10**6),
+    cp=st.integers(0, 60),
+    time=st.integers(0, 10**9),
+).map(lambda e: (None, e, None))
+
+_blank_lines = st.sampled_from(["", " ", "\t", "\x1c", " ,  ,", ","]).map(
+    lambda text: (text, None, None)
+)
+
+
+@st.composite
+def _wrong_width_lines(draw):
+    width = draw(st.sampled_from([1, 2, 4, 5]))
+    cells = [str(draw(st.integers(0, 999))) for _ in range(width)]
+    return draw(_padded(cells)), None, f"expected 3 columns, got {width}"
+
+
+@st.composite
+def _not_int_lines(draw):
+    cells = [str(draw(st.integers(0, 999))) for _ in range(3)]
+    bad = draw(_NOT_INT)
+    cells[draw(st.integers(0, 2))] = bad
+    text = draw(_padded(cells))
+    return text, None, _int_message(text.split(",")[cells.index(bad)])
+
+
+@st.composite
+def _negative_lines(draw):
+    cp = draw(st.integers(-50, 50))
+    time = draw(st.integers(-(10**6), -1) if cp >= 0 else st.integers(-5, 10**6))
+    cells = [str(draw(st.integers(0, 999))), str(cp), str(time)]
+    return draw(_padded(cells)), None, "negative control point or time"
+
+
+@st.composite
+def long_form_files(draw):
+    """Shuffled lines (at least one event), a byte-order-mark flag, one
+    line ending per line, and whether the last line is terminated."""
+    lines = draw(
+        st.lists(
+            st.one_of(
+                _event_lines,
+                _blank_lines,
+                _wrong_width_lines(),
+                _not_int_lines(),
+                _negative_lines(),
+            ),
+            max_size=40,
+        )
+    )
+    lines = draw(st.permutations(lines + [draw(_event_lines)]))
+    n = len(lines) + 1  # the header is a line too
+    endings = draw(
+        st.lists(st.sampled_from(["\n", "\r\n"]), min_size=n, max_size=n)
+    )
+    return lines, draw(st.booleans()), endings, draw(st.booleans())
+
+
 class TestLongFormat:
     def test_round_trip_sorted(self, tmp_path):
         events, _ = scripted_events()
@@ -130,6 +217,36 @@ class TestLongFormat:
         with pytest.raises(MalformedInputError):
             read_events(str(empty))
 
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(long_form_files(), st.data())
+    def test_fuzz(self, tmp_path, drawn, data):
+        lines, bom, endings, terminated = drawn
+        events = [e for _, e, _ in lines if e is not None]
+        path = tmp_path / "race.csv"
+        write_events(path, events)
+        header, *written = path.read_text().splitlines()
+        written = iter(written)
+        texts = [header]
+        want_issues = []
+        for lineno, (text, event, reason) in enumerate(lines, start=2):
+            if event is not None:
+                text = data.draw(_padded(next(written).split(",")))
+            texts.append(text)
+            if reason is not None:
+                want_issues.append(RowIssue(lineno, reason))
+        body = "".join(t + end for t, end in zip(texts, endings))
+        if not terminated:
+            body = body.removesuffix(endings[-1])
+        path.write_bytes((("\ufeff" if bom else "") + body).encode("utf-8"))
+        got_events, got_issues = read_events(str(path))
+        assert got_events == sorted(events, key=lambda e: (e.time, e.cp, e.athlete))
+        assert all(type(e) is Event for e in got_events)
+        assert got_issues == want_issues
+
 
 class TestWideFormat:
     def test_cells_become_events(self, tmp_path):
@@ -167,6 +284,18 @@ class TestCourse:
         assert read_course(str(path)) == {0: 5000, 1: 10000, 2: 21097}
         path.write_text("\ufeff0,5000\n1,10000\n", encoding="utf-8")
         assert read_course(str(path)) == {0: 5000, 1: 10000}
+
+    def test_malformed_first_row_is_an_error(self, tmp_path):
+        # line 1 is a header only when its first cell is not an integer
+        path = tmp_path / "course.csv"
+        path.write_text("0,5000m\n1,10000\n2,20000\n")
+        with pytest.raises(ValueError, match="line 1:"):
+            read_course(str(path))
+        path.write_text("0\n1,10000\n")
+        with pytest.raises(ValueError, match="line 1:"):
+            read_course(str(path))
+        path.write_text("cp,distance (m)\n0,5000\n")
+        assert read_course(str(path)) == {0: 5000}
 
     def test_distances_must_increase(self, tmp_path):
         path = tmp_path / "course.csv"
@@ -270,6 +399,43 @@ class TestPipeline:
         again = [r for r in result.analysis.anomalies() if r.kind == ANOMALY_PACE]
         assert [(r.athlete, r.cp) for r in again] == [(1, 3)]
 
+    def test_pace_anomalies_pinned(self):
+        # cp 3 is not on the course; athlete 3 skips cps 1 and 3, slows
+        # down 3x, then speeds up; athlete 5 has two course crossings
+        # only; athletes 9 (slower) and 11 (faster) sit exactly on the
+        # factor and are not flagged
+        crossings = {
+            7: (300000, 600000, 900000, 1050000, 1500000, 1590000),
+            3: (330000, None, 930000, None, 2730000, 3030000),
+            5: (360000, 15000000, None, 18000000),
+            9: (100000, 340000, 580000, 900000, 1300000),
+            11: (100000, 460000, 820000, 1000000, 1300000),
+        }
+        events = sorted(
+            (
+                Event(athlete, cp, t)
+                for athlete, times in crossings.items()
+                for cp, t in enumerate(times)
+                if t is not None
+            ),
+            key=lambda e: (e.time, e.cp, e.athlete),
+        )
+        course = {0: 1000, 1: 2000, 2: 3000, 4: 5000, 5: 6000}
+        config = RunConfig(params=Params(2000, 2, Mu(7, 10)), course=course)
+        got = [
+            (r.athlete, r.kind, r.cp, r.details)
+            for r in run(events, config).analysis.anomalies()
+        ]
+        jump = "segment pace {} min/km vs running average {} (factor 1.5)"
+        assert got == [
+            (3, ANOMALY_SKIPPED, 1, "no crossing recorded"),
+            (3, ANOMALY_SKIPPED, 3, "no crossing recorded"),
+            (5, ANOMALY_SKIPPED, 2, "no crossing recorded"),
+            (3, ANOMALY_PACE, 4, jump.format("15.00", "5.00")),
+            (3, ANOMALY_PACE, 5, jump.format("5.00", "10.00")),
+            (7, ANOMALY_PACE, 5, jump.format("1.50", "5.00")),
+        ]
+
     def test_skipped_cp_anomaly(self):
         events = [Event(1, 0, 1000), Event(2, 0, 1500), Event(1, 2, 9000)]
         result = run(events, RunConfig(params=Params(2000, 2, Mu(7, 10))))
@@ -320,6 +486,32 @@ class TestCli:
         assert rc_a == rc_b == 0
         assert out_a == out_b
         assert "timing" not in out_a  # wall clock stays out of records
+
+    def test_field_records_match_golden(self, tmp_path):
+        # tests/data/field_records.txt is this run's stdout byte for byte;
+        # rewrite it only for a deliberate change of output
+        race = tmp_path / "field.csv"
+        write_events(race, generate_field(1000, 6, seed=11))
+        with open(race, "a") as fh:
+            fh.write("oops,1,2\n5,3\n")
+        course = tmp_path / "course.csv"
+        write_course(
+            course, [(0, 7000), (1, 14000), (3, 28000), (4, 33000), (5, 42195)]
+        )
+        rc, out, err = run_cli(
+            [
+                "--input", str(race),
+                "--course", str(course),
+                "--report", "summary,patterns,longterm,status,anomalies",
+                "--out", "records",
+            ]
+        )
+        assert rc == 0
+        assert out == (DATA / "field_records.txt").read_text()
+        assert err.splitlines() == [
+            f"warning: {race}: line 6002: invalid literal for int() with base 10: 'oops'",
+            f"warning: {race}: line 6003: expected 3 columns, got 2",
+        ]
 
     def test_modes_by_cli_agree(self, race_file):
         path, _ = race_file
