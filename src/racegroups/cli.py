@@ -36,8 +36,6 @@ from .longterm import LONGTERM_KINDS
 from .patterns import KINDS
 from .pipeline import (
     DEFAULT_PACE_FACTOR,
-    MODE_FINALIZED,
-    MODES,
     RunConfig,
     epsilon_sweep,
     run,
@@ -105,7 +103,6 @@ def _analysis_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--mu", type=Mu.parse, default=DEFAULT_MU, help="relation threshold, P/Q or decimal"
     )
-    parser.add_argument("--mode", choices=MODES, default=MODE_FINALIZED)
     parser.add_argument(
         "--report",
         default="summary",
@@ -150,12 +147,7 @@ def _analyze(argv) -> int:
         print(f"warning: {args.input}: {issue}", file=sys.stderr)
 
     params = Params(epsilon=args.epsilon, m=args.min_group, mu=args.mu)
-    config = RunConfig(
-        params=params,
-        mode=args.mode,
-        course=course,
-        pace_factor=args.pace_factor,
-    )
+    config = RunConfig(params=params, course=course, pace_factor=args.pace_factor)
     result = run(events, config, ingest_s=ingest_s)
 
     out = sys.stdout
@@ -200,7 +192,7 @@ def _emit_meta(out, text, args, result, n_issues) -> None:
         )
         out.write(
             f"parameters: epsilon={args.epsilon} ms, m={args.min_group}, "
-            f"mu={args.mu}, mode={args.mode}\n"
+            f"mu={args.mu}, mode=finalized\n"
         )
         t = result.timings
         out.write(
@@ -213,7 +205,7 @@ def _emit_meta(out, text, args, result, n_issues) -> None:
             f"meta events={engine.events_accepted} "
             f"rejected={engine.events_rejected} issues={n_issues} "
             f"athletes={n_athletes} cps={n_cps} epsilon={args.epsilon} "
-            f"min_group={args.min_group} mu={args.mu} mode={args.mode}\n"
+            f"min_group={args.min_group} mu={args.mu} mode=finalized\n"
         )
 
 

@@ -4,8 +4,9 @@ For each pair of consecutive control points (x, x') two graphs are
 kept in one structure:
 
   * the precursor graph: undirected intersection counts between groups
-    (weight = |S ∩ S'|), including *tentative* edges from finalized
-    groups at x' back to the still-active component at x;
+    (weight = |S ∩ S'|); a finalized count is only read to test it,
+    so just the *tentative* edges from finalized groups at x' back to
+    the still-active component at x are stored;
   * the evolution graph: the directed relation edges derived from
     those counts - a forward edge S -> S' iff I(S, S') >= mu and a
     backward edge S' -> S iff I(S', S) >= mu, both weighted |S ∩ S'|.
@@ -27,6 +28,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import Mu
+from .grouping import PENDING
 
 
 class EdgeAdded(NamedTuple):
@@ -46,7 +48,6 @@ class PairGraph:
         "mu",
         "left_sizes",
         "right_sizes",
-        "weights",
         "tentative",
         "fwd",
         "bwd",
@@ -59,8 +60,6 @@ class PairGraph:
         self.mu = mu
         self.left_sizes: list[int] = []
         self.right_sizes: list[int] = []
-        # finalized intersection counts, (left ordinal, right ordinal) -> w
-        self.weights: dict[tuple[int, int], int] = {}
         # right ordinal -> intersection with the active component at left_cp
         self.tentative: dict[int, int] = {}
         self.fwd: dict[int, tuple[int, int]] = {}  # left -> (right, w)
@@ -95,7 +94,6 @@ class PairGraph:
         """
         added: list[EdgeAdded] = []
         for left_ordinal, w in counts.items():
-            self.weights[(left_ordinal, right_ordinal)] = w
             added.extend(self.promote_relations(left_ordinal, right_ordinal, w))
         if pending:
             self.tentative[right_ordinal] = (
@@ -105,10 +103,9 @@ class PairGraph:
 
     def materialize_tentative(self, left_ordinal: int) -> list[EdgeAdded]:
         """The active left component became this group: its tentative
-        edges become ordinary weighted edges and are tested."""
+        intersections are final now and are tested."""
         added: list[EdgeAdded] = []
         for right_ordinal, w in self.tentative.items():
-            self.weights[(left_ordinal, right_ordinal)] = w
             added.extend(self.promote_relations(left_ordinal, right_ordinal, w))
         self.tentative.clear()
         return added
@@ -193,7 +190,7 @@ class GraphStack:
 
     def __init__(self, mu: Mu, histories: dict[int, list]) -> None:
         self.mu = mu
-        self._histories = histories  # athlete -> [codes, times, last], shared
+        self._histories = histories  # athlete -> [codes, times], shared
         self.pairs: dict[int, PairGraph] = {}
 
     def pair(self, left_cp: int) -> PairGraph:
@@ -205,8 +202,6 @@ class GraphStack:
     def on_group(self, group) -> list[tuple[PairGraph, list[EdgeAdded]]]:
         """Returns the edges each affected pair gained, for the
         pattern tracker."""
-        from .grouping import PENDING  # local import to avoid a cycle
-
         cp, ordinal = group.id
         updates: list[tuple[PairGraph, list[EdgeAdded]]] = []
         if cp > 0:

@@ -101,7 +101,7 @@ class GroupingEngine:
         self.groups: dict[int, list[Group]] = {}
         self.outliers: dict[int, list[int]] = {}
         self.component_counts: dict[int, int] = {}
-        # athlete -> [codes per cp, times per cp, last crossing time]
+        # athlete -> [codes per cp, times per cp]
         self._athletes: dict[int, list] = {}
         self.anomalies: list[AnomalyRecord] = []
         self.events_accepted = 0
@@ -111,15 +111,15 @@ class GroupingEngine:
 
     # -- ingestion ----------------------------------------------------
 
-    def ingest_many(self, events: Iterable[Event], on_finish=None) -> list[FinishedComponent]:
+    def ingest_many(self, events: Iterable[Event], on_finish=None) -> None:
         """Feed a time-ordered batch of events.
 
-        Returns every component finished along the way, in the order
-        they were decreed finished.  on_finish, when given, is invoked
-        synchronously with each FinishedComponent at the moment it is
-        decreed finished - downstream graph bookkeeping relies on
-        observing athlete histories exactly as they were at that
-        moment, before later events resolve more pending entries.
+        on_finish, when given, is invoked synchronously with each
+        FinishedComponent at the moment it is decreed finished; it is
+        the engine's only report of finished components.  Downstream
+        graph bookkeeping relies on observing athlete histories exactly
+        as they were at that moment, before later events resolve more
+        pending entries.
 
         Raises StreamOrderError if global timestamps ever decrease;
         per-athlete irregularities (duplicate crossings, control points
@@ -129,7 +129,6 @@ class GroupingEngine:
         """
         if self._finalized:
             raise StreamOrderError("stream already finalized by the broom wagon")
-        outputs: list[FinishedComponent] = []
         eps = self.params.epsilon
         active = self._active
         athletes = self._athletes
@@ -149,8 +148,8 @@ class GroupingEngine:
             last_stream = t
             rec = athletes.get(athlete)
             if rec is None:
-                rec = athletes[athlete] = [[], [], -1]
-            codes = rec[0]
+                rec = athletes[athlete] = [[], []]
+            codes, times = rec
             ncrossed = len(codes)
             if cp < ncrossed:
                 kind = ANOMALY_ORDER if codes[cp] == ABSENT else ANOMALY_DUPLICATE
@@ -164,19 +163,20 @@ class GroupingEngine:
                 )
                 rejected += 1
                 continue
-            if rec[2] >= t and ncrossed:
+            # the trailing slot is a real crossing: absences are only
+            # backfilled before one
+            if ncrossed and times[-1] >= t:
                 anomalies.append(
                     AnomalyRecord(
                         athlete,
                         ANOMALY_ORDER,
                         cp,
-                        f"time {t} does not increase over previous crossing {rec[2]}",
+                        f"time {t} does not increase over previous crossing {times[-1]}",
                     )
                 )
                 rejected += 1
                 continue
             if cp > ncrossed:
-                times = rec[1]
                 for skipped in range(ncrossed, cp):
                     codes.append(ABSENT)
                     times.append(-1)
@@ -186,8 +186,7 @@ class GroupingEngine:
                         )
                     )
             codes.append(PENDING)
-            rec[1].append(t)
-            rec[2] = t
+            times.append(t)
             accepted += 1
             comp = active.get(cp)
             if comp is None:
@@ -197,34 +196,30 @@ class GroupingEngine:
                 comp[2] = t
             else:
                 finished = self._finish(cp, comp)
-                outputs.append(finished)
                 if on_finish is not None:
                     on_finish(finished)
                 active[cp] = [[athlete], t, t]
         self._last_stream_time = last_stream
         self.events_accepted += accepted
         self.events_rejected += rejected
-        return outputs
 
-    def finalize_all(self, on_finish=None) -> list[FinishedComponent]:
+    def finalize_all(self, on_finish=None) -> None:
         """Broom wagon: finish every remaining active component.
 
         Components are finished in control-point order so that, by the
         time a group is decreed at cp c, every history entry at c-1 is
         already resolved.
         """
-        outputs = []
         for cp in sorted(self._active):
             finished = self._finish(cp, self._active[cp])
-            outputs.append(finished)
             if on_finish is not None:
                 on_finish(finished)
         self._active.clear()
         self._finalized = True
-        return outputs
 
     def _finish(self, cp: int, comp: list) -> FinishedComponent:
-        members, t_first, t_last = comp
+        member_list, t_first, t_last = comp
+        members = tuple(member_list)  # shared by the group and the report
         athletes = self._athletes
         self.component_counts[cp] = self.component_counts.get(cp, 0) + 1
         if len(members) >= self.params.m:
@@ -232,7 +227,7 @@ class GroupingEngine:
             if bucket is None:
                 bucket = self.groups[cp] = []
             ordinal = len(bucket)
-            group = Group((cp, ordinal), tuple(members), t_first, t_last)
+            group = Group((cp, ordinal), members, t_first, t_last)
             bucket.append(group)
             for athlete in members:
                 athletes[athlete][0][cp] = ordinal
@@ -244,12 +239,12 @@ class GroupingEngine:
             bucket.extend(members)
             for athlete in members:
                 athletes[athlete][0][cp] = OUTLIER
-        return FinishedComponent(cp, tuple(members), t_first, t_last, group)
+        return FinishedComponent(cp, members, t_first, t_last, group)
 
     # -- read access ---------------------------------------------------
 
     def raw_histories(self) -> dict[int, list]:
-        """The live athlete -> [codes, times, last time] table.
+        """The live athlete -> [codes, times] table.
 
         Shared, not copied: graph construction reads codes through this
         while ingestion is still running.  Callers must not mutate it.

@@ -76,8 +76,16 @@ def format_clock(ms: int) -> str:
     return out + (f".{rem:03d}" if rem else "")
 
 
-def _parse_athlete(cell: str) -> int:
-    return int(cell.strip())
+def _parse_int(cell: str) -> int:
+    """A cell of ASCII digits, optionally after a minus sign, padded
+    with whitespace.  int() alone also takes underscores, a plus sign
+    and non-ASCII digits; its own message names a cell it cannot read."""
+    text = cell.strip()
+    value = int(text)
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not ASCII digits: {text!r}")
+    return value
 
 
 def sniff_format(header: Sequence[str]) -> str:
@@ -123,6 +131,11 @@ def _read_long(reader) -> tuple[list[Event], list[RowIssue]]:
     for lineno, row in enumerate(reader, start=2):
         try:
             athlete, cp, time = map(int, row)  # int() skips spaces and tabs
+            # int() also reads '_', '+' and non-ASCII digits: such a row
+            # goes to the cell-by-cell parse, which rejects them
+            joined = "".join(row)
+            if not joined.isascii() or "_" in joined or "+" in joined:
+                raise ValueError
         except ValueError:
             try:
                 cells = _parse_long_row(row)
@@ -148,7 +161,7 @@ def _parse_long_row(row: list[str]) -> tuple[int, ...] | None:
         return None
     if len(row) != 3:
         raise ValueError(f"expected 3 columns, got {len(row)}")
-    return tuple(int(cell.strip()) for cell in row)
+    return tuple(_parse_int(cell) for cell in row)
 
 
 def _read_wide(reader, n_cps: int) -> tuple[list[Event], list[RowIssue]]:
@@ -158,7 +171,7 @@ def _read_wide(reader, n_cps: int) -> tuple[list[Event], list[RowIssue]]:
         if not row or all(not cell.strip() for cell in row):
             continue
         try:
-            athlete = _parse_athlete(row[0])
+            athlete = _parse_int(row[0])
         except ValueError:
             issues.append(RowIssue(lineno, f"bad athlete id {row[0]!r}"))
             continue
@@ -193,7 +206,8 @@ def write_events(path: str, events: Iterable[Event]) -> None:
 def read_course(path: str) -> dict[int, int]:
     """Control point distances: one `index,meters` line each.
 
-    Line 1 is a header when its first cell is not an integer.
+    Line 1 is a header when its first cell is not an integer in any
+    digits, so a malformed number there is an error, not a header.
     Distances must be strictly increasing with the index.
     """
     course: dict[int, int] = {}
@@ -202,7 +216,7 @@ def read_course(path: str) -> dict[int, int]:
             if not row or all(not cell.strip() for cell in row):
                 continue
             try:
-                cp, meters = int(row[0].strip()), int(row[1].strip())
+                cp, meters = _parse_int(row[0]), _parse_int(row[1])
             except (ValueError, IndexError):
                 if lineno == 1 and not _is_int(row[0]):
                     continue

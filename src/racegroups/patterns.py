@@ -287,11 +287,10 @@ class PatternTracker:
         self, group: Group, updates: Iterable[tuple[PairGraph, list[EdgeAdded]]]
     ) -> None:
         cp, ordinal = group.id
-        pair_updates = {pair.left_cp: (pair, edges) for pair, edges in updates}
-        for left_cp, (pair, edges) in pair_updates.items():
+        for pair, edges in updates:
             dirty_targets: set[int] = set()
             dirty_sources: set[int] = set()
-            if left_cp == cp - 1:
+            if pair.left_cp == cp - 1:
                 dirty_targets.add(ordinal)  # the new right vertex
             else:
                 dirty_sources.add(ordinal)  # the new left vertex

@@ -170,7 +170,7 @@ class RaceAnalysis:
         rec = self.engine.raw_histories().get(athlete)
         if rec is None:
             raise KeyError(f"unknown athlete {athlete}")
-        codes, times, _ = rec
+        codes, times = rec
         # the trailing slot is always a real crossing: absences are only
         # backfilled when a later crossing arrives
         return len(codes) - 1, times[-1]
@@ -213,7 +213,7 @@ class RaceAnalysis:
 
     def _crossed_series(self, athlete: int) -> list[tuple[int, int]]:
         rec = self.engine.raw_histories()[athlete]
-        codes, times, _ = rec
+        codes, times = rec
         return [(cp, times[cp]) for cp in range(len(codes)) if codes[cp] != ABSENT]
 
     def anomalies(self) -> list[AnomalyRecord]:
@@ -232,7 +232,7 @@ class RaceAnalysis:
             points = sorted(course.items())
             histories = self.engine.raw_histories()
             for athlete in sorted(histories):
-                codes, times, _ = histories[athlete]
+                codes, times = histories[athlete]
                 n_cps = len(codes)
                 series = [
                     (cp, times[cp], meters)

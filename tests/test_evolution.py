@@ -3,10 +3,10 @@ and the streaming construction against a from-scratch rebuild."""
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import cohort_streams, complete_pairs, run_stream
-from racegroups.core import Mu
+from racegroups.core import Event, Mu, Params
 from racegroups.evolution import PairGraph
 from racegroups.oracles import oracle_groups
 
@@ -58,13 +58,12 @@ class TestTentative:
         pair.register_right(0, 10)
         assert pair.update_precursor(0, {}, 7) == []
         assert pair.tentative == {0: 7}
-        assert pair.weights == {}
         pair.register_left(0, 10)
         added = pair.materialize_tentative(0)
         assert pair.tentative == {}
-        assert pair.weights == {(0, 0): 7}
         # 7/10 covers in both directions at mu=7/10
         assert {e.forward for e in added} == {True, False}
+        assert pair.fwd == {0: (0, 7)} and pair.bwd == {0: (0, 7)}
 
     def test_two_right_groups_share_one_component(self):
         pair = PairGraph(0, MU)
@@ -74,7 +73,6 @@ class TestTentative:
         pair.update_precursor(1, {}, 6)
         pair.register_left(0, 9)
         pair.materialize_tentative(0)
-        assert pair.weights == {(0, 0): 3, (0, 1): 6}
         # 6 of 9 misses mu, 6 of 8 covers it: backward edge only
         assert pair.fwd == {}
         assert pair.bwd == {1: (0, 6)}
@@ -87,7 +85,6 @@ class TestTentative:
         pair.delete_tentative_edges()
         pair.register_left(0, 9)
         assert pair.materialize_tentative(0) == []
-        assert pair.weights == {}
 
 
 class TestFromMemberships:
@@ -95,7 +92,9 @@ class TestFromMemberships:
         left = [{1, 2, 3, 4}, {5, 6, 7}]
         right = [{1, 2, 3, 9}, {5, 6, 7, 8}]
         pair = PairGraph.from_memberships(2, left, right, MU)
-        assert pair.weights == {(0, 0): 3, (1, 1): 3}
+        # each shared count, 3 of 3 or of 4, covers mu = 7/10 both ways
+        assert pair.fwd == {0: (0, 3), 1: (1, 3)}
+        assert pair.bwd == {0: (0, 3), 1: (1, 3)}
         assert pair.left_sizes == [4, 3]
         assert pair.right_sizes == [4, 4]
         assert pair.right_cp == 3
@@ -114,7 +113,6 @@ def assert_pairs_equal(got: PairGraph, want: PairGraph):
     assert got.left_cp == want.left_cp
     assert got.left_sizes == want.left_sizes
     assert got.right_sizes == want.right_sizes
-    assert got.weights == want.weights
     assert got.fwd == want.fwd
     assert got.bwd == want.bwd
     # in-lists accumulate in finalization order, which differs between
@@ -138,8 +136,6 @@ class TestStreamingStack:
             events.append((a, 1, 50000 + i))
         for i, a in enumerate([7, 8, 9, 10, 11]):
             events.append((a, 1, 60000 + i))
-        from racegroups.core import Event, Params
-
         params = Params(epsilon=2000, m=5, mu=MU)
         stream = sorted((Event(*e) for e in events), key=lambda e: e.time)
         engine, stack, _ = run_stream(stream, params)
@@ -175,37 +171,34 @@ class TestStreamingStack:
         engine, stack, _ = run_stream(events, params)
         for pair in complete_pairs(engine, stack):
             # fwd/bwd are dicts keyed by the single out-edge owner, so
-            # check the raw weights instead: at most one neighbor can be
-            # covered by mu of a group
-            mu = params.mu
-            for left in range(len(pair.left_sizes)):
-                outs = [
-                    r
-                    for (o, r), w in pair.weights.items()
-                    if o == left and mu.covers(w, pair.left_sizes[left])
-                ]
-                assert len(outs) <= 1
-            for right in range(len(pair.right_sizes)):
-                outs = [
-                    o
-                    for (o, r), w in pair.weights.items()
-                    if r == right and mu.covers(w, pair.right_sizes[right])
-                ]
-                assert len(outs) <= 1
+            # count the stored edges in the in-lists instead: mu of a
+            # group can fall inside at most one neighbor
+            sources = [o for edges in pair.fwd_in.values() for o, _ in edges]
+            assert len(sources) == len(set(sources))
+            targets = [r for edges in pair.bwd_in.values() for r, _ in edges]
+            assert len(targets) == len(set(targets))
 
     @settings(max_examples=150, deadline=None)
     @given(cohort_streams())
+    # group 1.0 finishes while its member 5 is still pending at cp 0
+    @example(
+        (
+            [Event(a, 0, 0) for a in (1, 2, 4)]
+            + [Event(5, 0, 2001)]
+            + [Event(a, 1, 1_000_000) for a in (1, 2, 4, 5)]
+            + [Event(6, 1, 1_002_001)],
+            Params(epsilon=2000, m=3, mu=MU),
+        )
+    )
     def test_weights_bounded_by_sizes(self, case):
+        # groups at one control point are disjoint, so the weights into
+        # one group sum to at most its size: the union tests read these
         events, params = case
         engine, stack, _ = run_stream(events, params)
         for pair in complete_pairs(engine, stack):
-            left_totals = dict.fromkeys(range(len(pair.left_sizes)), 0)
-            right_totals = dict.fromkeys(range(len(pair.right_sizes)), 0)
-            for (o, r), w in pair.weights.items():
-                assert w >= 1
-                left_totals[o] += w
-                right_totals[r] += w
-            for o, total in left_totals.items():
-                assert total <= pair.left_sizes[o]
-            for r, total in right_totals.items():
-                assert total <= pair.right_sizes[r]
+            for r, parents in pair.fwd_in.items():
+                assert all(w >= 1 for _, w in parents)
+                assert sum(w for _, w in parents) <= pair.right_sizes[r]
+            for o, children in pair.bwd_in.items():
+                assert all(w >= 1 for _, w in children)
+                assert sum(w for _, w in children) <= pair.left_sizes[o]

@@ -29,15 +29,19 @@ def seconds_stream(cp, times_s, first_athlete=0):
 class TestIngest:
     def test_three_second_gap_splits_two_groups(self):
         eng = GroupingEngine(params(epsilon=2000, m=3))
-        outs = eng.ingest_many(seconds_stream(0, [0, 1, 2, 5, 6, 7]))
-        outs += eng.finalize_all()
+        outs = []
+        eng.ingest_many(seconds_stream(0, [0, 1, 2, 5, 6, 7]), on_finish=outs.append)
+        eng.finalize_all(on_finish=outs.append)
         assert [o.group.members for o in outs if o.group] == [(0, 1, 2), (3, 4, 5)]
+        # one member tuple per component, shared with its group
+        assert all(o.group.members is o.members for o in outs)
         assert [g.id for g in eng.groups_at(0)] == [(0, 0), (0, 1)]
 
     def test_below_threshold_component_marks_outliers(self):
         eng = GroupingEngine(params(epsilon=2000, m=7))
-        outs = eng.ingest_many(seconds_stream(0, [0, 1, 2, 3, 4, 5]))
-        outs += eng.finalize_all()
+        outs = []
+        eng.ingest_many(seconds_stream(0, [0, 1, 2, 3, 4, 5]), on_finish=outs.append)
+        eng.finalize_all(on_finish=outs.append)
         assert outs[0].group is None
         assert eng.groups_at(0) == []
         assert sorted(eng.outliers_at(0)) == [0, 1, 2, 3, 4, 5]
@@ -151,17 +155,22 @@ class TestFinalizeAll:
     def test_single_component_at_threshold(self):
         eng = GroupingEngine(params(m=3))
         eng.ingest_many(seconds_stream(0, [0, 1, 2]))
-        outs = eng.finalize_all()
+        outs = []
+        eng.finalize_all(on_finish=outs.append)
         assert len(outs) == 1 and outs[0].group is not None
         assert outs[0].group.size == 3
 
     def test_empty_state(self):
-        assert GroupingEngine(params()).finalize_all() == []
+        outs = []
+        GroupingEngine(params()).finalize_all(on_finish=outs.append)
+        assert outs == []
 
     def test_one_notification_per_active_cp(self):
         eng = GroupingEngine(params())
         eng.ingest_many([Event(0, 0, 0), Event(0, 1, 1000), Event(0, 2, 2000)])
-        assert len(eng.finalize_all()) == 3
+        outs = []
+        eng.finalize_all(on_finish=outs.append)
+        assert [o.cp for o in outs] == [0, 1, 2]
 
     def test_no_ingest_after_broom_wagon(self):
         eng = GroupingEngine(params())

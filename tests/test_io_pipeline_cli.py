@@ -98,9 +98,11 @@ class TestClock:
 # endings, an optional byte-order mark, blank lines and bad rows mixed
 # in.  Each drawn line is (text, event or None, issue reason or None).
 
-# \x1c is whitespace to str.strip() but not to int()
-_PAD = st.sampled_from(["", " ", "  ", "\t", " \t ", "\x1c"])
+# \x1c is whitespace to str.strip() but not to int(); \xa0 is not ASCII
+_PAD = st.sampled_from(["", " ", "  ", "\t", " \t ", "\x1c", "\xa0"])
 _NOT_INT = st.sampled_from(["x", "", "1.5", "one", "0x1f", "--2", "1e3", "\u00bd"])
+# int() reads these as numbers, but a number in a file is ASCII digits
+_NOT_ASCII = st.sampled_from(["\uff11\uff12", "1_000", "+5", "+0", "\u0663", "-\uff11"])
 
 
 @st.composite
@@ -145,6 +147,14 @@ def _not_int_lines(draw):
 
 
 @st.composite
+def _not_ascii_lines(draw):
+    cells = [str(draw(st.integers(0, 999))) for _ in range(3)]
+    bad = draw(_NOT_ASCII)
+    cells[draw(st.integers(0, 2))] = bad
+    return draw(_padded(cells)), None, f"not ASCII digits: {bad!r}"
+
+
+@st.composite
 def _negative_lines(draw):
     cp = draw(st.integers(-50, 50))
     time = draw(st.integers(-(10**6), -1) if cp >= 0 else st.integers(-5, 10**6))
@@ -163,6 +173,7 @@ def long_form_files(draw):
                 _blank_lines,
                 _wrong_width_lines(),
                 _not_int_lines(),
+                _not_ascii_lines(),
                 _negative_lines(),
             ),
             max_size=40,
@@ -248,6 +259,72 @@ class TestLongFormat:
         assert got_issues == want_issues
 
 
+# Wide-format fuzzing: athlete rows of format_clock splits with absent
+# cells, padding, CRLF or LF endings, an optional byte-order mark, blank
+# rows, rows wider than the header and bad ids or clocks mixed in.  Each
+# drawn row is (text, events, issue reasons in the order they are read).
+
+_BAD_IDS = st.sampled_from(["x", "", "1.5", "0x1f", "1_2", "\uff11\uff12", "+3"])
+_BAD_CLOCKS = st.sampled_from(
+    ["12", "1:2", "xx:00:00", "00:61:00", "00:00:1e1", "00:5_0:00",
+     "00:00:+5", "\uff11:00:00", "00:00:05."]
+)
+
+
+@st.composite
+def _wide_row(draw, n_cps):
+    kind = draw(st.sampled_from(["good", "bad id", "too wide"]))
+    athlete = draw(st.integers(-5, 10**6))
+    if kind == "too wide":
+        width = n_cps + draw(st.integers(1, 3))
+    else:
+        width = draw(st.integers(0, n_cps))
+    cells, events, reasons = [], [], []
+    for cp in range(width):
+        cell = draw(st.sampled_from(["absent", "clock", "bad"]))
+        if cell == "absent":
+            raw = draw(_PAD)
+        elif cell == "clock":
+            time = draw(st.integers(0, 10**8))
+            raw = draw(_PAD) + format_clock(time) + draw(_PAD)
+            events.append(Event(athlete, cp, time))
+        else:
+            raw = draw(_PAD) + draw(_BAD_CLOCKS) + draw(_PAD)
+            reasons.append(f"cp {cp}: not a clock time: {raw!r}")
+        cells.append(raw)
+    if kind == "bad id":
+        raw_id = draw(_PAD) + draw(_BAD_IDS) + draw(_PAD)
+        events, reasons = [], [f"bad athlete id {raw_id!r}"]
+    else:
+        raw_id = draw(_PAD) + str(athlete) + draw(_PAD)
+        if kind == "too wide":
+            events, reasons = [], [f"{width} split cells, header has {n_cps}"]
+    if all(not c.strip() for c in [raw_id, *cells]):
+        events, reasons = [], []  # a blank row is skipped
+    return ",".join([raw_id, *cells]), events, reasons
+
+
+@st.composite
+def wide_files(draw):
+    """Header and shuffled rows (at least one event), a byte-order-mark
+    flag, one line ending per line, and whether the last line is
+    terminated."""
+    n_cps = draw(st.integers(1, 6))
+    header = ",".join(["athlete_id"] + [f"split{cp}" for cp in range(n_cps)])
+    blank = st.sampled_from(["", " ", "\t", ",", " , ,\t"]).map(
+        lambda text: (text, [], [])
+    )
+    rows = draw(st.lists(st.one_of(_wide_row(n_cps), blank), max_size=30))
+    athlete, time = draw(st.integers(0, 999)), draw(st.integers(0, 10**8))
+    sure = (f"{athlete},{format_clock(time)}", [Event(athlete, 0, time)], [])
+    rows = draw(st.permutations(rows + [sure]))
+    n = len(rows) + 1  # the header is a line too
+    endings = draw(
+        st.lists(st.sampled_from(["\n", "\r\n"]), min_size=n, max_size=n)
+    )
+    return header, rows, draw(st.booleans()), endings, draw(st.booleans())
+
+
 class TestWideFormat:
     def test_cells_become_events(self, tmp_path):
         path = tmp_path / "wide.csv"
@@ -276,6 +353,32 @@ class TestWideFormat:
         events, _ = read_events(str(path), fmt="long")
         assert events == [Event(1, 0, 1000)]
 
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(wide_files())
+    def test_fuzz(self, tmp_path, drawn):
+        header, rows, bom, endings, terminated = drawn
+        body = "".join(
+            text + end for text, end in zip([header] + [r[0] for r in rows], endings)
+        )
+        if not terminated:
+            body = body.removesuffix(endings[-1])
+        path = tmp_path / "wide.csv"
+        path.write_bytes((("\ufeff" if bom else "") + body).encode("utf-8"))
+        got_events, got_issues = read_events(str(path))
+        want_events = [e for _, events, _ in rows for e in events]
+        assert got_events == sorted(
+            want_events, key=lambda e: (e.time, e.cp, e.athlete)
+        )
+        assert got_issues == [
+            RowIssue(lineno, reason)
+            for lineno, (_, _, reasons) in enumerate(rows, start=2)
+            for reason in reasons
+        ]
+
 
 class TestCourse:
     def test_read(self, tmp_path):
@@ -296,6 +399,18 @@ class TestCourse:
             read_course(str(path))
         path.write_text("cp,distance (m)\n0,5000\n")
         assert read_course(str(path)) == {0: 5000}
+
+    def test_numbers_are_ascii_digits(self, tmp_path):
+        path = tmp_path / "course.csv"
+        for text, line in (
+            ("0,1_000\n", 1),
+            ("index,meters\n0,+5000\n", 2),
+            ("\uff10,5000\n1,10000\n", 1),  # not a header: it is a number
+            ("0,5000\n1,\uff11\uff10000\n", 2),
+        ):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ValueError, match=f"line {line}:"):
+                read_course(str(path))
 
     def test_distances_must_increase(self, tmp_path):
         path = tmp_path / "course.csv"
@@ -512,15 +627,6 @@ class TestCli:
             f"warning: {race}: line 6002: invalid literal for int() with base 10: 'oops'",
             f"warning: {race}: line 6003: expected 3 columns, got 2",
         ]
-
-    def test_modes_by_cli_agree(self, race_file):
-        path, _ = race_file
-        base = ["--input", path, "--report", "patterns,longterm", "--out", "records"]
-        _, fin, _ = run_cli(base + ["--mode", "finalized"])
-        _, onl, _ = run_cli(base + ["--mode", "online"])
-        fin_lines = [l for l in fin.splitlines() if not l.startswith("meta")]
-        onl_lines = [l for l in onl.splitlines() if not l.startswith("meta")]
-        assert fin_lines == onl_lines
 
     def test_pattern_records_match_truth(self, race_file):
         path, truth = race_file
