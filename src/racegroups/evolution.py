@@ -37,7 +37,6 @@ class EdgeAdded(NamedTuple):
     left: int
     right: int
     forward: bool  # True: left -> right (left ~ right); False: right -> left
-    weight: int
 
 
 class PairGraph:
@@ -126,13 +125,13 @@ class PairGraph:
             self.fwd_in.setdefault(right_ordinal, []).append(
                 (left_ordinal, weight)
             )
-            added.append(EdgeAdded(left_ordinal, right_ordinal, True, weight))
+            added.append(EdgeAdded(left_ordinal, right_ordinal, True))
         if mu.covers(weight, self.right_sizes[right_ordinal]):
             self.bwd[right_ordinal] = (left_ordinal, weight)
             self.bwd_in.setdefault(left_ordinal, []).append(
                 (right_ordinal, weight)
             )
-            added.append(EdgeAdded(left_ordinal, right_ordinal, False, weight))
+            added.append(EdgeAdded(left_ordinal, right_ordinal, False))
         return added
 
     # -- queries --------------------------------------------------------

@@ -233,13 +233,12 @@ def corner_flags(pair: PairGraph) -> tuple[tuple[str, GroupId], ...]:
     return tuple(sorted(flags))
 
 
-def detect_patterns(pair: PairGraph) -> PatternSet:
-    """Classify every group of a finalized pair (batch mode)."""
-    if pair.tentative:
-        raise IncompletePairError(
-            f"pair ({pair.left_cp},{pair.right_cp}) still has tentative edges"
-        )
-    records = {classify_target(pair, r) for r in range(len(pair.right_sizes))}
+def _pattern_set(
+    pair: PairGraph, target_records: Iterable[PatternRecord], finalized: bool
+) -> PatternSet:
+    """The pair's records - the given target records plus Disappears,
+    read off the pair - sorted, with the corner diagnostics."""
+    records = set(target_records)
     for left in range(len(pair.left_sizes)):
         rec = classify_source(pair, left)
         if rec is not None:
@@ -248,100 +247,86 @@ def detect_patterns(pair: PairGraph) -> PatternSet:
         pair=(pair.left_cp, pair.right_cp),
         records=tuple(sorted(records, key=PatternRecord.sort_key)),
         flags=corner_flags(pair),
-        finalized=True,
+        finalized=finalized,
     )
 
 
-class _PairState:
-    __slots__ = ("target_owner", "record_refs", "disappears")
-
-    def __init__(self) -> None:
-        self.target_owner: dict[int, PatternRecord] = {}
-        self.record_refs: dict[PatternRecord, int] = {}
-        self.disappears: dict[int, PatternRecord] = {}
+def detect_patterns(pair: PairGraph) -> PatternSet:
+    """Classify every group of a finalized pair (batch mode)."""
+    if pair.tentative:
+        raise IncompletePairError(
+            f"pair ({pair.left_cp},{pair.right_cp}) still has tentative edges"
+        )
+    return _pattern_set(
+        pair,
+        (classify_target(pair, r) for r in range(len(pair.right_sizes))),
+        finalized=True,
+    )
 
 
 class PatternTracker:
     """On-the-fly classification, kept current as groups finalize.
 
-    After each finalization only the groups whose branch inputs could
-    have changed are reclassified: the new group itself, plus - for a
-    new backward edge into S - every backward child of S (their
-    Shrinks/Splits/Disbands/spawned membership may change), plus the
-    Disappears status of touched left groups.  Until a pair is sealed
-    its records are transitory: a target that finalizes before its
-    source reports Appears and is revised once the source arrives.
+    Per pair the tracker keeps the record owning each right group and
+    how many right groups own each record; Disappears and the corner
+    flags are read off the pair when a snapshot is taken.  After each
+    finalization only the right groups whose branch inputs could have
+    changed are reclassified: the new group, the right end of every new
+    edge, and every backward child of S for a new backward edge into S
+    (their Shrinks/Splits/Disbands/spawned membership may change) or
+    for a new forward edge into S's backward partner T (a spawned child
+    of S owns the Survives(S, T) record, whose absorbed list grew).
+    Until a pair is sealed its records are transitory: a target that
+    finalizes before its source reports Appears and is revised once the
+    source arrives.
     """
 
     def __init__(self) -> None:
-        self._states: dict[int, _PairState] = {}
+        # left cp -> right ordinal -> owning record
+        self._owner: dict[int, dict[int, PatternRecord]] = {}
+        # left cp -> record -> number of right groups owning it
+        self._refs: dict[int, dict[PatternRecord, int]] = {}
         self._sealed = False
-
-    def _state(self, left_cp: int) -> _PairState:
-        state = self._states.get(left_cp)
-        if state is None:
-            state = self._states[left_cp] = _PairState()
-        return state
 
     def on_group(
         self, group: Group, updates: Iterable[tuple[PairGraph, list[EdgeAdded]]]
     ) -> None:
         cp, ordinal = group.id
         for pair, edges in updates:
-            dirty_targets: set[int] = set()
-            dirty_sources: set[int] = set()
+            dirty: set[int] = set()
             if pair.left_cp == cp - 1:
-                dirty_targets.add(ordinal)  # the new right vertex
-            else:
-                dirty_sources.add(ordinal)  # the new left vertex
-            for edge in edges:
-                if edge.forward:
-                    dirty_targets.add(edge.right)
-                    dirty_sources.add(edge.left)
+                dirty.add(ordinal)  # the new right vertex
+            for left, right, forward in edges:
+                if forward:
+                    dirty.add(right)
+                    back = pair.bwd.get(right)
+                    if back is not None:
+                        dirty.update(r for r, _ in pair.bwd_in[back[0]])
                 else:
-                    dirty_targets.add(edge.right)
-                    dirty_targets.update(
-                        r for r, _ in pair.bwd_in.get(edge.left, ())
-                    )
-                    dirty_sources.add(edge.left)
-            self._apply(pair, dirty_targets, dirty_sources)
-
-    def _apply(
-        self, pair: PairGraph, dirty_targets: set[int], dirty_sources: set[int]
-    ) -> None:
-        state = self._state(pair.left_cp)
-        owner = state.target_owner
-        refs = state.record_refs
-        for right in dirty_targets:
-            new = classify_target(pair, right)
-            old = owner.get(right)
-            if old == new:
+                    dirty.update(r for r, _ in pair.bwd_in[left])
+            if not dirty:
                 continue
-            if old is not None:
-                remaining = refs[old] - 1
-                if remaining:
-                    refs[old] = remaining
-                else:
-                    del refs[old]
-            owner[right] = new
-            refs[new] = refs.get(new, 0) + 1
-        for left in dirty_sources:
-            rec = classify_source(pair, left)
-            if rec is None:
-                state.disappears.pop(left, None)
-            else:
-                state.disappears[left] = rec
+            owner = self._owner.setdefault(pair.left_cp, {})
+            refs = self._refs.setdefault(pair.left_cp, {})
+            for right in dirty:
+                new = classify_target(pair, right)
+                old = owner.get(right)
+                if old == new:
+                    continue
+                if old is not None:
+                    remaining = refs[old] - 1
+                    if remaining:
+                        refs[old] = remaining
+                    else:
+                        del refs[old]
+                owner[right] = new
+                refs[new] = refs.get(new, 0) + 1
 
     def snapshot(self, pair: PairGraph) -> PatternSet:
         """Current records for one pair; they are transitory until the
         tracker is sealed, which the set's `finalized` flag tells."""
-        state = self._state(pair.left_cp)
-        records = set(state.record_refs) | set(state.disappears.values())
-        return PatternSet(
-            pair=(pair.left_cp, pair.right_cp),
-            records=tuple(sorted(records, key=PatternRecord.sort_key)),
-            flags=corner_flags(pair),
-            finalized=self._sealed,
+        return _pattern_set(
+            pair, self._refs.get(pair.left_cp, ()), finalized=self._sealed
         )
 
     def seal(self, pairs: Iterable[PairGraph]) -> dict[int, PatternSet]:

@@ -338,13 +338,16 @@ class SweepRow:
 
 
 def epsilon_sweep(events, config: RunConfig, epsilons) -> list[SweepRow]:
-    """Re-run the pipeline per epsilon over the shared sorted stream."""
+    """Re-run the pipeline per epsilon over the shared sorted stream.
+
+    The rows hold only final totals, which both modes agree on, so
+    every re-run is finalized whatever config.mode says."""
     rows = []
     for epsilon in epsilons:
         params = Params(
             epsilon=epsilon, m=config.params.m, mu=config.params.mu
         )
-        result = run(events, RunConfig(params=params, mode=config.mode))
+        result = run(events, RunConfig(params=params))
         components = tuple(
             (stat.cp, stat.n_components) for stat in result.stats
         )

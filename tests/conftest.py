@@ -1,19 +1,20 @@
 """Shared test helpers: race-shaped random streams and full wiring.
 
-The hypothesis strategy here is deliberately structured, not uniform
-noise.  A stable crossing order with bounded jitter, occasional gaps
-above epsilon and per-cp absences yields streams whose groups actually
-overlap across control points, so relation edges and patterns fire.
+The hypothesis strategies here are deliberately structured, not
+uniform noise.  A stable crossing order with bounded jitter, occasional
+gaps above epsilon and per-cp absences yields streams whose groups
+actually overlap across control points, so relation edges and patterns
+fire.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from hypothesis import strategies as st
 
 from racegroups.core import Event, Mu, Params
-from racegroups.evolution import GraphStack
-from racegroups.grouping import GroupingEngine
-from racegroups.patterns import PatternTracker
+from racegroups.pipeline import MODE_ONLINE, RaceAnalysis, RunConfig
 
 
 @st.composite
@@ -38,22 +39,42 @@ def cohort_streams(draw):
     return events, Params(epsilon=2000, m=m, mu=Mu(7, 10))
 
 
+@st.composite
+def overlapping_streams(draw):
+    """Races whose control points overlap in time.  An athlete reaches
+    the next control point one short leg after the last (1-8 s plus
+    their own drift of up to 4 s), while the field takes far longer to
+    cross one, so right groups finish while a left component is still
+    open and tentative edges occur on most examples.  The drift splits,
+    merges and reorders groups from one control point to the next."""
+    n_ath = draw(st.integers(12, 30))
+    n_cp = draw(st.integers(3, 6))
+    m = draw(st.integers(3, 5))
+    gaps = draw(st.lists(st.integers(0, 2800), min_size=n_ath, max_size=n_ath))
+    times = list(accumulate(gaps))
+    events: list[Event] = []
+    for cp in range(n_cp):
+        if cp:
+            leg = draw(st.integers(1, 8000))
+            drift = draw(
+                st.lists(st.integers(0, 4000), min_size=n_ath, max_size=n_ath)
+            )
+            times = [t + leg + d for t, d in zip(times, drift)]
+        # about one athlete in ten misses a control point
+        present = draw(st.lists(st.integers(0, 9), min_size=n_ath, max_size=n_ath))
+        events.extend(Event(a, cp, times[a]) for a in range(n_ath) if present[a])
+    events.sort(key=lambda e: e.time)
+    return events, Params(epsilon=2000, m=m, mu=Mu(7, 10))
+
+
 def run_stream(events, params):
-    """Engine + graph stack + online tracker, wired the way the
-    pipeline wires them.  Returns the three after finalization."""
-    engine = GroupingEngine(params)
-    stack = GraphStack(params.mu, engine.raw_histories())
-    tracker = PatternTracker()
-
-    def dispatch(finished):
-        if finished.group is not None:
-            tracker.on_group(finished.group, stack.on_group(finished.group))
-        else:
-            stack.on_failed_component(finished.cp)
-
-    engine.ingest_many(events, on_finish=dispatch)
-    engine.finalize_all(on_finish=dispatch)
-    return engine, stack, tracker
+    """A race streamed through the pipeline's own wiring in online
+    mode.  Returns its engine, graph stack and tracker after the broom
+    wagon."""
+    analysis = RaceAnalysis(RunConfig(params=params, mode=MODE_ONLINE))
+    analysis.ingest(events)
+    analysis.finalize()
+    return analysis.engine, analysis.stack, analysis.tracker
 
 
 def complete_pairs(engine, stack):

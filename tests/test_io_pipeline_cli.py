@@ -572,6 +572,9 @@ class TestPipeline:
         # the scripted epsilon reproduces the scripted groups
         at_eps = dict(rows[2].pattern_totals)
         assert at_eps[SURVIVES] > 0
+        # the rows hold only final totals: an online config gives the same
+        online = RunConfig(params=PARAMS, mode=MODE_ONLINE)
+        assert epsilon_sweep(events, online, [0, 1000, 2000, 60000]) == rows
 
 
 def run_cli(args):

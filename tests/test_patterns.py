@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import cohort_streams, complete_pairs, run_stream
+from conftest import cohort_streams, complete_pairs, overlapping_streams, run_stream
 from racegroups.core import Event, Mu, Params
 from racegroups.evolution import PairGraph
 from racegroups.oracles import oracle_patterns
@@ -28,8 +28,27 @@ from racegroups.patterns import (
     classify_target,
     detect_patterns,
 )
+from racegroups.pipeline import MODE_ONLINE, RaceAnalysis, RunConfig
 
 MU = Mu(7, 10)
+
+# A left group S (17 athletes) survives as T: 12 of them reach cp 1
+# together with all 5 of the group L that is still crossing cp 0; the
+# other 5 of S cross cp 1 as a spawned group of their own.  L stays
+# open until the broom wagon, so its forward edge into T - which adds
+# L to the absorbed list of the Survives(S, T) record that the spawned
+# group owns too - arrives after both cp 1 groups are classified.
+ABSORBED_AFTER_SPAWNED = sorted(
+    [Event(a, 0, 1000 + 10 * a) for a in range(17)]
+    + [Event(a, 0, 10000 + a) for a in range(100, 105)]
+    + [
+        Event(a, 1, 50000 + 10 * i)
+        for i, a in enumerate([*range(12), *range(100, 105)])
+    ]
+    + [Event(a, 1, 60000 + a) for a in range(12, 17)]
+    + [Event(200, 1, 70000)],
+    key=lambda e: e.time,
+)
 
 
 def pair_of(left_sets, right_sets, mu=MU, left_cp=0):
@@ -295,30 +314,17 @@ class TestOnlineTracker:
         events.sort(key=lambda e: e.time)
         params = Params(epsilon=2000, m=7, mu=MU)
 
-        from racegroups.evolution import GraphStack
-        from racegroups.grouping import GroupingEngine
-        from racegroups.patterns import PatternTracker
-
-        engine = GroupingEngine(params)
-        stack = GraphStack(params.mu, engine.raw_histories())
-        tracker = PatternTracker()
-
-        def dispatch(finished):
-            if finished.group is not None:
-                tracker.on_group(finished.group, stack.on_group(finished.group))
-            else:
-                stack.on_failed_component(finished.cp)
-
-        engine.ingest_many(events, on_finish=dispatch)
-        pair = stack.pair(0)
+        analysis = RaceAnalysis(RunConfig(params=params, mode=MODE_ONLINE))
+        analysis.ingest(events)
+        pair = analysis.stack.pair(0)
         with pytest.raises(IncompletePairError):
             detect_patterns(pair)
-        mid = tracker.snapshot(pair)
+        mid = analysis.tracker.snapshot(pair)
         assert not mid.finalized
         assert kinds_of(mid) == [APPEARS]
 
-        engine.finalize_all(on_finish=dispatch)
-        final = tracker.seal([pair])[0]
+        analysis.finalize()
+        final = analysis.tracker.seal([pair])[0]
         assert final.finalized
         assert kinds_of(final) == [APPEARS, SURVIVES]
         by_kind = {rec.kind: rec for rec in final.records}
@@ -326,6 +332,35 @@ class TestOnlineTracker:
         assert by_kind[SURVIVES].target == (1, 0)
         assert by_kind[APPEARS].target == (1, 1)
         assert detect_patterns(pair) == final
+
+    @settings(max_examples=300, deadline=None)
+    @given(overlapping_streams())
+    @example((ABSORBED_AFTER_SPAWNED, Params(epsilon=2000, m=3, mu=MU)))
+    def test_snapshot_after_every_group_matches_pair(self, case):
+        """After every finished group, each pair it touched snapshots to
+        a fresh classification of that pair's current state."""
+        events, params = case
+        analysis = RaceAnalysis(RunConfig(params=params, mode=MODE_ONLINE))
+        tracker = analysis.tracker
+        on_group = tracker.on_group
+
+        def on_group_then_check(group, updates):
+            on_group(group, updates)
+            for pair, _ in updates:
+                fresh = {
+                    classify_target(pair, r) for r in range(len(pair.right_sizes))
+                }
+                for left in range(len(pair.left_sizes)):
+                    rec = classify_source(pair, left)
+                    if rec is not None:
+                        fresh.add(rec)
+                assert tracker.snapshot(pair).records == tuple(
+                    sorted(fresh, key=PatternRecord.sort_key)
+                )
+
+        tracker.on_group = on_group_then_check
+        analysis.ingest(events)
+        analysis.finalize()
 
     @settings(max_examples=200, deadline=None)
     @given(cohort_streams())
