@@ -16,11 +16,19 @@ mode).
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time as _time
 
-from .core import DEFAULT_EPSILON_MS, DEFAULT_MIN_GROUP, DEFAULT_MU, Mu, Params
+from .core import (
+    DEFAULT_EPSILON_MS,
+    DEFAULT_MIN_GROUP,
+    DEFAULT_MU,
+    Mu,
+    Params,
+    parse_ratio,
+)
 from .grouping import StreamOrderError
 from .io import (
     FORMAT_LONG,
@@ -52,6 +60,20 @@ REPORTS = ("summary", "patterns", "longterm", "status", "anomalies")
 
 
 def main(argv=None) -> int:
+    # A run builds no reference cycles: reference counting frees all of
+    # it.  The cyclic collector would only rescan every event, since an
+    # Event (a tuple subclass) is never untracked, so it is paused for
+    # the run and resumed for an in-process caller.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _main(argv) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         if argv[:1] == ["generate"]:
@@ -125,9 +147,9 @@ def _analysis_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--pace-factor",
-        type=float,
+        type=parse_ratio,
         default=DEFAULT_PACE_FACTOR,
-        help="pace-jump sensitivity",
+        help="pace-jump sensitivity, P/Q or decimal",
     )
     return parser
 

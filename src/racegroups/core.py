@@ -37,6 +37,18 @@ class Event(NamedTuple):
     time: int
 
 
+def parse_ratio(text: str) -> Fraction:
+    """Parse "p/q" or a decimal string ("0.7") into an exact ratio."""
+    text = text.strip()
+    try:
+        if "/" in text:
+            p, q = text.split("/", 1)
+            return Fraction(int(p), int(q))
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse a ratio from {text!r}") from exc
+
+
 @dataclass(frozen=True)
 class Mu:
     """Relation threshold as an exact ratio num/den with 1/2 < mu <= 1."""
@@ -59,14 +71,7 @@ class Mu:
     @classmethod
     def parse(cls, text: str) -> "Mu":
         """Parse "p/q" or a decimal string ("0.7") into an exact Mu."""
-        text = text.strip()
-        try:
-            if "/" in text:
-                p, q = text.split("/", 1)
-                return cls(int(p), int(q))
-            frac = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse mu from {text!r}") from exc
+        frac = parse_ratio(text)
         return cls(frac.numerator, frac.denominator)
 
     def covers(self, part: int, whole: int) -> bool:

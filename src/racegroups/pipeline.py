@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .core import Params
 from .evolution import GraphStack, PairGraph
@@ -39,7 +40,7 @@ MODE_FINALIZED = "finalized"
 MODE_ONLINE = "online"
 MODES = (MODE_FINALIZED, MODE_ONLINE)
 
-DEFAULT_PACE_FACTOR = 1.5
+DEFAULT_PACE_FACTOR = Fraction(3, 2)
 
 
 @dataclass(frozen=True)
@@ -47,13 +48,22 @@ class RunConfig:
     params: Params
     mode: str = MODE_FINALIZED
     course: dict[int, int] | None = None  # cp -> meters from the start
-    pace_factor: float = DEFAULT_PACE_FACTOR
+    # kept as an exact ratio; a float is read as its shortest repr, so
+    # 1.1 means 11/10
+    pace_factor: Fraction = DEFAULT_PACE_FACTOR
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.pace_factor <= 1.0:
+        factor = self.pace_factor
+        factor = Fraction(repr(factor) if isinstance(factor, float) else factor)
+        if factor <= 1:
             raise ValueError("pace factor must exceed 1")
+        object.__setattr__(self, "pace_factor", factor)
+        if self.course is not None:
+            meters = [m for _, m in sorted(self.course.items())]
+            if any(b <= a for a, b in zip(meters, meters[1:])):
+                raise ValueError("course distances must increase with the index")
 
 
 @dataclass
@@ -229,6 +239,7 @@ class RaceAnalysis:
         course = self.config.course
         if course is not None:
             factor = self.config.pace_factor
+            p, q = factor.numerator, factor.denominator
             points = sorted(course.items())
             histories = self.engine.raw_histories()
             for athlete in sorted(histories):
@@ -246,17 +257,21 @@ class RaceAnalysis:
                 # a pace key is new here: cps increase along a history
                 # and the engine records no pace jumps
                 for c_cur, t_cur, d_cur in series[2:]:
-                    # running average over everything before this segment
-                    avg = ((t_prev - t0) / 60000.0) / ((d_prev - d0) / 1000.0)
-                    seg = ((t_cur - t_prev) / 60000.0) / ((d_cur - d_prev) / 1000.0)
-                    if seg > factor * avg or seg * factor < avg:
+                    # this segment's pace dt/dd against the running average
+                    # dt_avg/dd_avg over everything before it, times p/q,
+                    # cross-multiplied: distances increase, so dd > 0
+                    seg_x = (t_cur - t_prev) * (d_prev - d0)  # dt * dd_avg
+                    avg_x = (t_prev - t0) * (d_cur - d_prev)  # dt_avg * dd
+                    if q * seg_x > p * avg_x or p * seg_x < q * avg_x:
+                        seg = _pace(t_cur - t_prev, d_cur - d_prev)
+                        avg = _pace(t_prev - t0, d_prev - d0)
                         out.append(
                             AnomalyRecord(
                                 athlete,
                                 ANOMALY_PACE,
                                 c_cur,
                                 f"segment pace {seg:.2f} min/km vs running "
-                                f"average {avg:.2f} (factor {factor:g})",
+                                f"average {avg:.2f} (factor {float(factor):g})",
                             )
                         )
                     t_prev, d_prev = t_cur, d_cur

@@ -67,6 +67,47 @@ def overlapping_streams(draw):
     return events, Params(epsilon=2000, m=m, mu=Mu(7, 10))
 
 
+@st.composite
+def slow_tail_streams(draw):
+    """Races with a slow tail at one control point.  A large pack runs
+    ahead of a small one, with gaps of up to 1 s inside a pack; on each
+    leg the large pack may split, everyone from some member on losing
+    2.5-6 s.  At one control point three or four of the large pack's
+    athletes cross after the whole field, each within epsilon of the
+    last, and rejoin their pack at the next one.  Their component there
+    stays open while the next control point's groups finish, so its
+    edges reach right groups, and the splits of their source group,
+    that were classified long before.  Control points lie 1,000,000 ms
+    apart, so each athlete's own times stay increasing."""
+    sizes = [draw(st.integers(20, 40)), draw(st.integers(3, 8))]
+    n_ath = sum(sizes)
+    n_cp = draw(st.integers(2, 4))
+    gaps = draw(st.lists(st.integers(0, 1000), min_size=n_ath, max_size=n_ath))
+    gaps[sizes[0]] += draw(st.integers(2001, 5000))  # the small pack's lead
+    times = list(accumulate(gaps))
+    slow_cp = draw(st.integers(0, n_cp - 2))
+    n_slow = draw(st.integers(3, 4))
+    first_slow = draw(st.integers(0, sizes[0] - n_slow))
+    events: list[Event] = []
+    for cp in range(n_cp):
+        if cp:
+            cut = draw(st.integers(0, sizes[0]))
+            delay = draw(st.integers(2500, 6000))
+            times = times[:cut] + [t + delay for t in times[cut:]]
+        jitter = draw(st.lists(st.integers(0, 300), min_size=n_ath, max_size=n_ath))
+        at = [cp * 1_000_000 + t + j for t, j in zip(times, jitter)]
+        if cp == slow_cp:
+            t = max(at) + draw(st.integers(2001, 5000))
+            for athlete in range(first_slow, first_slow + n_slow):
+                t += draw(st.integers(0, 1500))
+                at[athlete] = t
+        # about one athlete in twenty misses a control point
+        present = draw(st.lists(st.integers(0, 19), min_size=n_ath, max_size=n_ath))
+        events.extend(Event(a, cp, at[a]) for a in range(n_ath) if present[a])
+    events.sort(key=lambda e: e.time)
+    return events, Params(epsilon=2000, m=3, mu=Mu(7, 10))
+
+
 def run_stream(events, params):
     """A race streamed through the pipeline's own wiring in online
     mode.  Returns its engine, graph stack and tracker after the broom

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import csv
+import gc
 import io as _io
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from racegroups.core import Event, Mu, Params
+import racegroups.io as rio
 from racegroups.cli import main
 from racegroups.grouping import ANOMALY_PACE, ANOMALY_SKIPPED
 from racegroups.io import (
@@ -257,6 +262,93 @@ class TestLongFormat:
         assert got_events == sorted(events, key=lambda e: (e.time, e.cp, e.athlete))
         assert all(type(e) is Event for e in got_events)
         assert got_issues == want_issues
+
+
+# Chunked-reader equivalence: a long-form body read in chunks of a few
+# bytes must give what the row-by-row reader gives over the same file.
+# A clean prefix of bare `digits,digits,digits` lines is followed by
+# lines of every kind, so the switch to the row reader comes mid-file.
+
+_clean_lines = st.tuples(
+    st.integers(0, 10**6), st.integers(0, 60), st.integers(0, 10**9)
+).map(lambda cells: "%d,%d,%d" % cells)
+
+_messy_lines = st.one_of(
+    _clean_lines,
+    _clean_lines.map(lambda text: "00" + text),
+    _clean_lines.flatmap(lambda text: _padded(text.split(","))),
+    _clean_lines.map(lambda text: ",".join(f'"{c}"' for c in text.split(","))),
+    st.just('"1\n2",3,4'),  # a quoted cell across two lines
+    st.just("9" * 5000 + ",1,2"),  # past int()'s digit limit
+    _blank_lines.map(itemgetter(0)),
+    _wrong_width_lines().map(itemgetter(0)),
+    _not_int_lines().map(itemgetter(0)),
+    _not_ascii_lines().map(itemgetter(0)),
+    _negative_lines().map(itemgetter(0)),
+)
+
+
+@st.composite
+def chunked_long_files(draw):
+    """File bytes: a header, clean lines, then lines of any kind, with a
+    byte-order mark, LF or CRLF per line and an unterminated last line
+    each drawn."""
+    lines = draw(st.lists(_clean_lines, max_size=30))
+    lines += draw(st.lists(_messy_lines, max_size=30))
+    n = len(lines) + 1  # the header is a line too
+    endings = draw(
+        st.lists(st.sampled_from(["\n", "\r\n"]), min_size=n, max_size=n)
+    )
+    lines.insert(0, "athlete_id,control_point,time_ms")
+    body = "".join(text + end for text, end in zip(lines, endings))
+    if not draw(st.booleans()):
+        body = body.removesuffix(endings[-1])
+    return (("\ufeff" if draw(st.booleans()) else "") + body).encode("utf-8")
+
+
+def _read_by_rows(path):
+    """The long-form body read by the row-by-row reader alone."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        events, issues = rio._read_long(reader)
+    return sorted(events, key=lambda e: (e.time, e.cp, e.athlete)), issues
+
+
+class TestChunkedLongFormat:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(chunked_long_files(), st.integers(1, 60))
+    def test_equals_row_reader(self, tmp_path, monkeypatch, data, chunk_bytes):
+        monkeypatch.setattr(rio, "_CHUNK_BYTES", chunk_bytes)
+        path = tmp_path / "race.csv"
+        path.write_bytes(data)
+        want_events, want_issues = _read_by_rows(path)
+        if not want_events:
+            with pytest.raises(MalformedInputError):
+                read_events(str(path))
+            return
+        got_events, got_issues = read_events(str(path))
+        assert got_events == want_events
+        assert all(type(e) is Event for e in got_events)
+        assert got_issues == want_issues
+
+    def test_rows_after_bulk_chunks_keep_their_line_numbers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(rio, "_CHUNK_BYTES", 8)
+        path = tmp_path / "race.csv"
+        path.write_bytes(
+            b"athlete_id,control_point,time_ms\r\n"
+            + b"".join(b"%d,0,%d\r\n" % (a, 1000 + a) for a in range(20))
+            + b"21, 0,1100\r\nx,0,1\r\n22,0,1200"
+        )
+        events, issues = read_events(str(path))
+        assert [e.athlete for e in events] == [*range(20), 21, 22]
+        assert issues == [
+            RowIssue(23, "invalid literal for int() with base 10: 'x'")
+        ]
 
 
 # Wide-format fuzzing: athlete rows of format_clock splits with absent
@@ -551,6 +643,45 @@ class TestPipeline:
             (7, ANOMALY_PACE, 5, jump.format("1.50", "5.00")),
         ]
 
+    def test_pace_jump_decided_exactly(self):
+        # the segment (54,578 ms over 1,500 m) is exactly 1.5x faster
+        # than the running average (382,046 ms over 7,000 m): the strict
+        # rule flags nothing at factor 3/2, where float paces flagged it
+        events = [Event(1, 0, 1000), Event(1, 1, 383046), Event(1, 2, 437624)]
+        params = Params(2000, 2, Mu(7, 10))
+        course = {0: 0, 1: 7000, 2: 8500}
+        for factor in (1.5, Fraction(3, 2)):
+            config = RunConfig(params=params, course=course, pace_factor=factor)
+            assert config.pace_factor == Fraction(3, 2)
+            assert run(events, config).analysis.anomalies() == []
+        # a marathon-field athlete: 966 s against 644 s over equal legs,
+        # exactly 1.5x slower, which float paces also flagged
+        slower = [Event(2, 0, 882000), Event(2, 1, 1526000), Event(2, 2, 2492000)]
+        config = RunConfig(params=params, course={0: 3516, 1: 7032, 2: 10548})
+        assert run(slower, config).analysis.anomalies() == []
+        config = RunConfig(
+            params=params, course=course, pace_factor=Fraction(149999, 100000)
+        )
+        got = [
+            (r.athlete, r.kind, r.cp, r.details)
+            for r in run(events, config).analysis.anomalies()
+        ]
+        assert got == [
+            (1, ANOMALY_PACE, 2, "segment pace 0.61 min/km vs running "
+             "average 0.91 (factor 1.49999)"),
+        ]
+
+    def test_pace_factor_is_an_exact_ratio(self):
+        params = Params(2000, 2, Mu(7, 10))
+        # a float means its shortest repr, not its binary value
+        assert RunConfig(params=params, pace_factor=1.1).pace_factor == Fraction(11, 10)
+        assert RunConfig(params=params, pace_factor=2).pace_factor == 2
+        for bad in (1, 1.0, Fraction(1, 2)):
+            with pytest.raises(ValueError, match="exceed 1"):
+                RunConfig(params=params, pace_factor=bad)
+        with pytest.raises(ValueError, match="increase"):
+            RunConfig(params=params, course={0: 1000, 1: 1000})
+
     def test_skipped_cp_anomaly(self):
         events = [Event(1, 0, 1000), Event(2, 0, 1500), Event(1, 2, 9000)]
         result = run(events, RunConfig(params=Params(2000, 2, Mu(7, 10))))
@@ -762,6 +893,26 @@ class TestCli:
         line = next(l for l in out.splitlines() if l.startswith("status "))
         assert "athlete=0 " in line and "segment_pace=-" not in line
 
+    def test_pace_factor_ratio_or_decimal(self, tmp_path):
+        race = tmp_path / "race.csv"
+        write_events(race, [Event(1, 0, 1000), Event(1, 1, 383046), Event(1, 2, 437624)])
+        course = tmp_path / "course.csv"
+        write_course(course, [(0, 0), (1, 7000), (2, 8500)])
+        args = ["--input", str(race), "--course", str(course), "--min-group", "1",
+                "--report", "anomalies", "--out", "records"]
+        outs = {}
+        for factor in ("3/2", "1.5", " 1.50 ", "7/5"):
+            rc, out, _ = run_cli(args + ["--pace-factor", factor])
+            assert rc == 0
+            outs[factor] = [l for l in out.splitlines() if l.startswith("anomaly ")]
+        assert outs["3/2"] == outs["1.5"] == outs[" 1.50 "] == []
+        assert outs["7/5"] == [
+            "anomaly athlete=1 kind=pace-jump cp=2 details=segment pace 0.61 "
+            "min/km vs running average 0.91 (factor 1.4)"
+        ]
+        rc, _, err = run_cli(args + ["--pace-factor", "1/1"])
+        assert rc == 1 and "exceed 1" in err
+
     def test_closed_stdout_pipe_is_quiet(self, race_file):
         # racegroups ... | head must not spray BrokenPipeError noise;
         # pipefail makes head's early exit visible if the CLI fails
@@ -781,3 +932,45 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert len(proc.stdout.splitlines()) == 2
+
+
+class TestCollector:
+    """The CLI pauses the cyclic collector for its run: everything the
+    run builds is freed by reference counting."""
+
+    def test_no_cyclic_garbage_per_row(self, tmp_path):
+        course = tmp_path / "course.csv"
+        write_course(course, [(cp, 7000 * (cp + 1)) for cp in range(6)])
+        unreachable = []
+        for n_athletes in (200, 2000):
+            race = tmp_path / f"field{n_athletes}.csv"
+            write_events(race, generate_field(n_athletes, 6, seed=5))
+            args = [
+                "--input", str(race), "--course", str(course),
+                "--report", "summary,patterns,longterm,status,anomalies",
+                "--out", "records",
+            ]
+            gc.collect()
+            # kept off around the call, so that no automatic collection
+            # takes the run's garbage before it is counted
+            gc.disable()
+            try:
+                rc, _, _ = run_cli(args)
+                assert not gc.isenabled()  # main resumes only what it paused
+                unreachable.append(gc.collect())
+            finally:
+                gc.enable()
+            assert rc == 0
+        assert unreachable[0] == unreachable[1]
+
+    def test_collector_resumed_after_every_exit(self, tmp_path):
+        assert gc.isenabled()
+        race = tmp_path / "race.csv"
+        write_events(race, generate_field(50, 3, seed=1))
+        assert run_cli(["--input", str(race)])[0] == 0
+        assert gc.isenabled()
+        assert run_cli(["--input", str(tmp_path / "missing.csv")])[0] == 1
+        assert gc.isenabled()
+        with pytest.raises(SystemExit):
+            run_cli(["--no-such-flag"])
+        assert gc.isenabled()

@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import cohort_streams, complete_pairs, overlapping_streams, run_stream
+from conftest import (
+    cohort_streams,
+    complete_pairs,
+    overlapping_streams,
+    run_stream,
+    slow_tail_streams,
+)
 from racegroups.core import Event, Mu, Params
 from racegroups.evolution import PairGraph
 from racegroups.oracles import oracle_patterns
@@ -333,8 +339,8 @@ class TestOnlineTracker:
         assert by_kind[APPEARS].target == (1, 1)
         assert detect_patterns(pair) == final
 
-    @settings(max_examples=300, deadline=None)
-    @given(overlapping_streams())
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(overlapping_streams(), slow_tail_streams()))
     @example((ABSORBED_AFTER_SPAWNED, Params(epsilon=2000, m=3, mu=MU)))
     def test_snapshot_after_every_group_matches_pair(self, case):
         """After every finished group, each pair it touched snapshots to
