@@ -251,18 +251,6 @@ class GroupingEngine:
         """
         return self._athletes
 
-    def history_code(self, athlete: int, cp: int) -> int:
-        """Raw slot code for (athlete, cp): ordinal or sentinel."""
-        rec = self._athletes[athlete]
-        codes = rec[0]
-        return codes[cp] if cp < len(codes) else ABSENT
-
-    def crossing_time(self, athlete: int, cp: int) -> int | None:
-        rec = self._athletes.get(athlete)
-        if rec is None or cp >= len(rec[0]) or rec[0][cp] == ABSENT:
-            return None
-        return rec[1][cp]
-
     def groups_at(self, cp: int) -> list[Group]:
         if cp < 0:
             raise IndexError(f"control point {cp} out of range")

@@ -9,10 +9,11 @@ tested instance.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import Event, Mu, Params, strongly_related, weakly_related
 from .grouping import GroupId
+from .longterm import KIND_BACKWARD, KIND_FORWARD, KIND_SURVIVING, GlobalGraph
 from .patterns import (
     APPEARS,
     COHERES,
@@ -378,3 +379,43 @@ def oracle_longterm(
             labels["lpB"][v] = longest_from(v, bwd_edges)
             labels["lpR"][v] = longest_to(v, related_edges)
     return labels
+
+
+def _linked(graph: GlobalGraph, kind: str, u: GroupId, v: GroupId) -> bool:
+    """Whether the step u -> v (v one control point after u) extends a
+    behavior of this kind."""
+    if kind == KIND_SURVIVING:
+        return graph.fwd.get(u) == v and graph.bwd.get(v) == u
+    if kind == KIND_FORWARD:
+        return graph.fwd.get(u) == v
+    if kind == KIND_BACKWARD:
+        return graph.bwd.get(v) == u
+    return graph.fwd.get(u) == v or graph.bwd.get(v) == u
+
+
+def oracle_walk(
+    graph: GlobalGraph, labels: Mapping[GroupId, int], v: GroupId, kind: str
+) -> list[GroupId]:
+    """Reference witness walk: the path whose label ends (for lpB:
+    starts) at v, in ascending control-point order.  Each step scans
+    the whole adjacent level, in ordinal order, for the first group
+    linked to v whose label is one less."""
+    path = [v]
+    while labels[v] > 0:
+        want = labels[v] - 1
+        if kind == KIND_BACKWARD:
+            v = next(
+                w
+                for w in graph.level(v[0] + 1)
+                if labels[w] == want and _linked(graph, kind, v, w)
+            )
+        else:
+            v = next(
+                u
+                for u in graph.level(v[0] - 1)
+                if labels[u] == want and _linked(graph, kind, u, v)
+            )
+        path.append(v)
+    if kind != KIND_BACKWARD:
+        path.reverse()
+    return path

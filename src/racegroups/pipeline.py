@@ -155,6 +155,13 @@ class RaceAnalysis:
         return {pair.left_cp: detect_patterns(pair) for pair in pairs}
 
     def global_graph(self) -> GlobalGraph:
+        """The pairs as one graph.  A race seen at one control point
+        has no pair but still one vertex per group there, which the
+        stack holds as the left side of the pair after it."""
+        cps = self.engine.known_cps()
+        if len(cps) == 1:
+            (cp,) = cps
+            return GlobalGraph((), cp, [len(self.stack.pair(cp).left_sizes)])
         return build_global(self.pairs())
 
     def group_stats(self) -> list[GroupStats]:

@@ -45,8 +45,9 @@ class TestIngest:
         assert outs[0].group is None
         assert eng.groups_at(0) == []
         assert sorted(eng.outliers_at(0)) == [0, 1, 2, 3, 4, 5]
+        histories = eng.raw_histories()
         for a in range(6):
-            assert eng.history_code(a, 0) == OUTLIER
+            assert histories[a][0] == [OUTLIER]
 
     def test_epsilon_zero_groups_same_clock_second(self):
         # second-resolution input: crossings within the same clock second
@@ -93,20 +94,20 @@ class TestAnomalies:
         assert eng.anomalies == [
             AnomalyRecord(0, "skipped-cp", 1, "no crossing recorded")
         ]
-        assert eng.history_code(0, 1) == ABSENT
+        assert eng.raw_histories()[0][0][1] == ABSENT
 
     def test_backfilling_a_skipped_cp_is_an_order_violation(self):
         eng = GroupingEngine(params())
         eng.ingest_many([Event(0, 0, 0), Event(0, 2, 1000), Event(0, 1, 2000)])
         kinds = [(a.kind, a.cp) for a in eng.anomalies]
         assert ("order-violation", 1) in kinds
-        assert eng.history_code(0, 1) == ABSENT  # rejected, slot untouched
+        assert eng.raw_histories()[0][0][1] == ABSENT  # rejected, slot untouched
 
     def test_non_increasing_athlete_time_rejected(self):
         eng = GroupingEngine(params())
         eng.ingest_many([Event(0, 0, 1000), Event(1, 0, 1000), Event(0, 1, 1000)])
         assert [a.kind for a in eng.anomalies] == ["order-violation"]
-        assert eng.history_code(0, 1) == ABSENT
+        assert eng.raw_histories()[0][0] == [PENDING]  # cp 1 never recorded
 
     def test_rejected_events_do_not_touch_components(self):
         eng = GroupingEngine(params(epsilon=1000, m=2))
@@ -128,27 +129,24 @@ class TestHistories:
         ]
         eng.ingest_many(events)
         eng.finalize_all()
-        assert [eng.history_code(2, cp) for cp in range(3)] == [0, OUTLIER, 0]
+        assert eng.raw_histories()[2][0] == [0, OUTLIER, 0]
 
     def test_pending_while_component_active(self):
         eng = GroupingEngine(params())
         eng.ingest_many([Event(7, 0, 0)])
-        assert eng.history_code(7, 0) == PENDING
-        assert eng.history_code(7, 1) == ABSENT  # not crossed yet
+        # one slot: cp 1 is not crossed yet
+        assert eng.raw_histories()[7][0] == [PENDING]
 
     def test_absent_for_skipped(self):
         eng = GroupingEngine(params())
         eng.ingest_many([Event(0, 0, 0), Event(0, 2, 1000)])
-        assert [eng.history_code(0, cp) for cp in range(3)] == [
-            PENDING,
-            ABSENT,
-            PENDING,
-        ]
+        assert eng.raw_histories()[0][0] == [PENDING, ABSENT, PENDING]
 
     def test_unknown_athlete(self):
         eng = GroupingEngine(params())
+        eng.ingest_many([Event(0, 0, 0)])
         with pytest.raises(KeyError):
-            eng.history_code(99, 0)
+            eng.raw_histories()[99]
 
 
 class TestFinalizeAll:
@@ -263,7 +261,7 @@ def test_partition_and_gap_law(raw, eps, m):
         assert len(in_groups) == len(set(in_groups))  # no double membership
         assert set(in_groups) | set(eng.outliers_at(cp)) == everyone
         for g in eng.groups_at(cp):
-            times = sorted(eng.crossing_time(a, cp) for a in g.members)
+            times = sorted(eng.raw_histories()[a][1][cp] for a in g.members)
             assert all(b - a <= eps for a, b in zip(times, times[1:]))
         # consecutive groups are separated by more than epsilon
         gs = eng.groups_at(cp)

@@ -558,6 +558,23 @@ class TestPipeline:
         assert result.longterm_maxima() == dict.fromkeys(LONGTERM_KINDS, 0)
         assert result.timings.throughput() >= 0.0
 
+    @pytest.mark.parametrize("mode", [MODE_FINALIZED, MODE_ONLINE])
+    def test_single_control_point_longterm(self, mode):
+        # one group at the only control point is a behavior of one
+        # control point of every kind, as it is with a second, empty one
+        params = Params(epsilon=2000, m=3, mu=Mu(7, 10))
+        events = [Event(a, 0, 1000 + 500 * a) for a in range(5)]
+        result = run(events, RunConfig(params=params, mode=mode))
+        assert [s.n_groups for s in result.stats] == [1]
+        assert result.longterm_maxima() == dict.fromkeys(LONGTERM_KINDS, 1)
+        for res in result.longest.values():
+            assert res.witness == ((0, 0),)
+        assert dict(result.labels.lpR) == {(0, 0): 0}
+        late = events + [Event(9, 1, 100_000)]  # an outlier, no group at cp 1
+        assert run(late, RunConfig(params=params)).longterm_maxima() == (
+            result.longterm_maxima()
+        )
+
     def test_status_ranking_and_pace(self):
         # two athletes finish all three cps, one stops early
         events = []

@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cohort_streams, complete_pairs, run_stream
+from conftest import (
+    cohort_streams,
+    complete_pairs,
+    overlapping_streams,
+    run_stream,
+    slow_tail_streams,
+)
 from racegroups.core import Mu
 from racegroups.evolution import PairGraph
 from racegroups.longterm import (
@@ -20,7 +27,7 @@ from racegroups.longterm import (
     longest,
     longest_all,
 )
-from racegroups.oracles import oracle_longterm
+from racegroups.oracles import oracle_longterm, oracle_walk
 
 MU = Mu(7, 10)
 
@@ -62,6 +69,62 @@ class TestBuildGlobal:
         graph = build_global(pairs)
         assert graph.fwd == {} and graph.bwd == {}
         assert graph.n_vertices() == 3
+
+
+class TestViews:
+    """Labels and edges are read-only group-id mappings over per-cp
+    lists and the pairs; first_cp 3 keeps cp and list index apart."""
+
+    def _graph(self):
+        # cp 3: groups a, b; cp 4: a alone (strong), b dropped; cp 5: a
+        a, b = set(range(10)), set(range(20, 30))
+        return build_global(chain_pairs([[a, b], [a], [a]], first_cp=3))
+
+    def test_equal_to_plain_dicts_both_ways(self):
+        graph = self._graph()
+        labels = compute_labels(graph)
+        want = {(3, 0): 0, (3, 1): 0, (4, 0): 1, (5, 0): 2}
+        assert labels.lpS == want
+        assert want == labels.lpS
+        assert dict(labels.lpS) == want
+        assert labels.lpS != {**want, (5, 0): 1}
+        assert {**want, (6, 0): 0} != labels.lpS
+        assert graph.fwd == {(3, 0): (4, 0), (4, 0): (5, 0)}
+        assert {(4, 0): (3, 0), (5, 0): (4, 0)} == graph.bwd
+
+    def test_len_and_order(self):
+        graph = self._graph()
+        labels = compute_labels(graph)
+        order = [(3, 0), (3, 1), (4, 0), (5, 0)]
+        for table in (labels.lpS, labels.lpF, labels.lpB, labels.lpR):
+            assert len(table) == 4
+            assert list(table) == order
+            assert list(table.items()) == [(v, table[v]) for v in order]
+        assert list(labels.lpB.values()) == [2, 0, 1, 0]
+        assert len(graph.fwd) == len(graph.bwd) == 2
+
+    def test_out_of_range_keys_raise(self):
+        graph = self._graph()
+        labels = compute_labels(graph)
+        bad = [(3, -1), (4, -1), (3, 2), (4, 1), (2, 0), (6, 0), (-1, 0), "3:0", (3,)]
+        for table in (labels.lpS, labels.lpB, graph.fwd, graph.bwd):
+            for key in bad:
+                with pytest.raises(KeyError):
+                    table[key]
+                assert key not in table
+                assert table.get(key) is None
+        # no edge out of the last level nor back from the first
+        for key in ((5, 0), (3, 1)):
+            assert key not in graph.fwd
+        assert (3, 0) not in graph.bwd
+
+    def test_read_only(self):
+        labels = compute_labels(self._graph())
+        with pytest.raises(TypeError):
+            labels.lpS[(3, 0)] = 5
+        copy = dict(labels.lpS)
+        copy[(3, 0)] = 5
+        assert labels.lpS[(3, 0)] == 0
 
 
 class TestSweeps:
@@ -226,3 +289,39 @@ class TestProperties:
                     assert graph.bwd.get(v) == u
                 else:
                     assert graph.fwd.get(u) == v or graph.bwd.get(v) == u
+
+
+class TestWitnessWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(overlapping_streams(), slow_tail_streams()))
+    def test_walk_and_labels_match_oracles(self, case):
+        # splits and merges give groups several in-edges: in a probe of
+        # 300 examples, 157 had an in-degree above 1 and 123 a walk step
+        # with two or more groups of the wanted label to choose from
+        events, params = case
+        engine, stack, _ = run_stream(events, params)
+        pairs = complete_pairs(engine, stack)
+        graph = build_global(pairs)
+        labels = compute_labels(graph)
+        results = longest_all(graph, labels)
+        for kind in LONGTERM_KINDS:
+            table = labels.of(kind)
+            if not table:
+                assert results[kind] == LongestResult(kind, 0, 0, ())
+                continue
+            best = max(table, key=table.__getitem__)  # first in (cp, o) order
+            path = oracle_walk(graph, table, best, kind)
+            assert results[kind].witness == tuple(path), kind
+            assert results[kind].length_edges == table[best]
+        levels = [graph.level(cp) for cp in graph.cps()]
+        fwd, bwd = set(), set()
+        for p in pairs:
+            for o, (r, _) in p.fwd.items():
+                fwd.add(((p.left_cp, o), (p.right_cp, r)))
+            for r, (o, _) in p.bwd.items():
+                bwd.add(((p.left_cp, o), (p.right_cp, r)))
+        want = oracle_longterm(levels, fwd, bwd, max_groups=100)
+        assert labels.lpS == want["lpS"]
+        assert labels.lpF == want["lpF"]
+        assert labels.lpB == want["lpB"]
+        assert labels.lpR == want["lpR"]
