@@ -121,11 +121,12 @@ class GroupingEngine:
         as they were at that moment, before later events resolve more
         pending entries.
 
-        Raises StreamOrderError if global timestamps ever decrease;
-        per-athlete irregularities (duplicate crossings, control points
-        out of order) are rejected with an anomaly record instead,
-        since they indicate corrupt data for one athlete rather than a
-        broken stream.
+        Raises StreamOrderError if global timestamps ever decrease and
+        ValueError on a negative control point; per-athlete
+        irregularities (duplicate crossings, control points out of
+        order) are rejected with an anomaly record instead, since they
+        indicate corrupt data for one athlete rather than a broken
+        stream.
         """
         if self._finalized:
             raise StreamOrderError("stream already finalized by the broom wagon")
@@ -152,6 +153,16 @@ class GroupingEngine:
             codes, times = rec
             ncrossed = len(codes)
             if cp < ncrossed:
+                if cp < 0:
+                    if not codes:
+                        del athletes[athlete]
+                    self._last_stream_time = last_stream
+                    self.events_accepted += accepted
+                    self.events_rejected += rejected
+                    raise ValueError(
+                        f"negative control point {cp} for athlete {athlete} "
+                        f"at time {t}"
+                    )
                 kind = ANOMALY_ORDER if codes[cp] == ABSENT else ANOMALY_DUPLICATE
                 anomalies.append(
                     AnomalyRecord(

@@ -25,16 +25,16 @@ never materialize sets: groups at one control point are disjoint, so
 
 The branch order makes classification total and deterministic, but the
 underlying definitions overlap in a few corner configurations.  Those
-are not guessed away; they are reported as diagnostics:
+are not guessed away.  A record names left groups as its source,
+sources or absorbed, right groups as its target, targets or spawned;
+a group that is not named by exactly one record is flagged:
 
-  unclassified-source: a left group with no forward edge whose every
-      backward child is classified through its own forward parents, so
-      no record ever names it.
-  doubly-owned-source: a left group that is named both through its
-      forward edge and as the source of a Shrinks/Splits/Disbands.
-  doubly-owned-target: a right group listed inside another group's
-      Splits/Disbands targets (or a spawned list) while also owning a
-      record through its own forward parents.
+  unclassified-source: a left group no record names, though it has a
+      backward child (each such child has forward parents of its own).
+  doubly-owned-source: a left group two records name: the one through
+      its forward edge and a Shrinks/Splits/Disbands.
+  doubly-owned-target: a right group two records name: its own and its
+      backward partner's Splits/Disbands or Survives (spawned).
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ class PatternSet:
 
 
 class IncompletePairError(RuntimeError):
-    """Finalized-mode classification was asked for a pair that still
-    has tentative edges (some component is not finished)."""
+    """Final classification was asked for too early: a pair that still
+    has tentative edges, or a race that is not finalized."""
 
 
 def _survives_record(pair: PairGraph, left: int, right: int) -> PatternRecord:
@@ -178,75 +178,48 @@ def classify_target(pair: PairGraph, right: int) -> PatternRecord:
     )
 
 
-def classify_source(pair: PairGraph, left: int) -> PatternRecord | None:
-    """Disappears is the only pattern detected from the source side;
-    every other outcome for a left group is owned by some target's
-    record."""
-    if left in pair.fwd or pair.bwd_in.get(left):
-        return None
-    return PatternRecord(
-        DISAPPEARS,
-        (pair.left_cp, pair.right_cp),
-        source=(pair.left_cp, left),
-    )
-
-
-def _source_has_sd_record(pair: PairGraph, left: int) -> bool:
-    """True when some Shrinks/Splits/Disbands record has this source:
-    no strong partner and at least one backward child with f_in = 0."""
-    if pair.strong_partner_of_left(left) is not None:
-        return False
-    return any(
-        not pair.fwd_in.get(r) for r, _ in pair.bwd_in.get(left, ())
-    )
-
-
-def corner_flags(pair: PairGraph) -> tuple[tuple[str, GroupId], ...]:
-    """Diagnostics for the configurations where the pattern definitions
-    stop being mutually exclusive (see module docstring)."""
-    lcp, rcp = pair.left_cp, pair.right_cp
-    flags: list[tuple[str, GroupId]] = []
-    for left in range(len(pair.left_sizes)):
-        has_fwd = left in pair.fwd
-        children = pair.bwd_in.get(left, ())
-        if not has_fwd and children and not _source_has_sd_record(pair, left):
-            flags.append((FLAG_UNCLASSIFIED, (lcp, left)))
-        if (
-            has_fwd
-            and pair.strong_partner_of_left(left) is None
-            and _source_has_sd_record(pair, left)
-        ):
-            flags.append((FLAG_DOUBLE_SOURCE, (lcp, left)))
-    for right in range(len(pair.right_sizes)):
-        if not pair.fwd_in.get(right):
-            continue
-        back = pair.bwd.get(right)
-        if back is None:
-            continue
-        left = back[0]
-        strong_right = pair.strong_partner_of_left(left)
-        listed = (
-            strong_right is not None and strong_right != right
-        ) or (strong_right is None and _source_has_sd_record(pair, left))
-        if listed:
-            flags.append((FLAG_DOUBLE_TARGET, (rcp, right)))
-    return tuple(sorted(flags))
-
-
 def _pattern_set(
     pair: PairGraph, target_records: Iterable[PatternRecord], finalized: bool
 ) -> PatternSet:
-    """The pair's records - the given target records plus Disappears,
-    read off the pair - sorted, with the corner diagnostics."""
+    """The pair's records - the given target records plus Disappears -
+    sorted, with the corner flags, all read off how many of the records
+    name each group: a left group that none names disappears unless it
+    has a backward child."""
+    lcp, rcp = pair.left_cp, pair.right_cp
     records = set(target_records)
-    for left in range(len(pair.left_sizes)):
-        rec = classify_source(pair, left)
-        if rec is not None:
-            records.add(rec)
+    left_names = [0] * len(pair.left_sizes)
+    right_names = [0] * len(pair.right_sizes)
+    for rec in records:
+        if rec.source is not None:
+            left_names[rec.source[1]] += 1
+        for _, left in rec.sources:
+            left_names[left] += 1
+        for _, left in rec.absorbed:
+            left_names[left] += 1
+        if rec.target is not None:
+            right_names[rec.target[1]] += 1
+        for _, right in rec.targets:
+            right_names[right] += 1
+        for _, right in rec.spawned:
+            right_names[right] += 1
+    flags: list[tuple[str, GroupId]] = []
+    for left, names in enumerate(left_names):
+        if names > 1:
+            flags.append((FLAG_DOUBLE_SOURCE, (lcp, left)))
+        elif not names:
+            if pair.bwd_in.get(left):
+                flags.append((FLAG_UNCLASSIFIED, (lcp, left)))
+            else:
+                records.add(
+                    PatternRecord(DISAPPEARS, (lcp, rcp), source=(lcp, left))
+                )
+    for right, names in enumerate(right_names):
+        if names > 1:
+            flags.append((FLAG_DOUBLE_TARGET, (rcp, right)))
     return PatternSet(
-        pair=(pair.left_cp, pair.right_cp),
+        pair=(lcp, rcp),
         records=tuple(sorted(records, key=PatternRecord.sort_key)),
-        flags=corner_flags(pair),
+        flags=tuple(sorted(flags)),
         finalized=finalized,
     )
 
@@ -269,7 +242,7 @@ class PatternTracker:
 
     Per pair the tracker keeps the record owning each right group and
     how many right groups own each record; Disappears and the corner
-    flags are read off the pair when a snapshot is taken.  After each
+    flags are counted off those records when a snapshot is taken.  After each
     finalization only the right groups whose branch inputs could have
     changed are reclassified: the new group, the right end of every new
     edge, and every backward child of S for a new backward edge into S

@@ -34,7 +34,13 @@ from .longterm import (
     compute_labels,
     longest_all,
 )
-from .patterns import KINDS, PatternSet, PatternTracker, detect_patterns
+from .patterns import (
+    KINDS,
+    IncompletePairError,
+    PatternSet,
+    PatternTracker,
+    detect_patterns,
+)
 
 MODE_FINALIZED = "finalized"
 MODE_ONLINE = "online"
@@ -145,8 +151,14 @@ class RaceAnalysis:
         """Final classification per pair, keyed by left control point.
 
         Online mode reads the tracker's sealed state; finalized mode
-        classifies from the finished graphs.  Both agree.
+        classifies from the finished graphs.  Both agree.  Before
+        finalize() it raises IncompletePairError.
         """
+        if not self.engine._finalized:
+            raise IncompletePairError(
+                "pattern sets are final only after finalize(); "
+                "online, tracker.snapshot(pair) gives the transitory records"
+            )
         pairs = self.pairs()
         if self.tracker is not None:
             if self._sealed_sets is None:

@@ -72,6 +72,26 @@ class TestIngest:
         with pytest.raises(StreamOrderError):
             eng.ingest_many([Event(1, 0, 999)])
 
+    def test_negative_control_point_raises(self):
+        eng = GroupingEngine(params())
+        # an athlete never seen: no history is left behind
+        with pytest.raises(ValueError, match=r"-1 for athlete 1 at time 5"):
+            eng.ingest_many([Event(1, -1, 5)])
+        assert eng.raw_histories() == {}
+        # an athlete seen once: neither misfiled as a duplicate crossing
+        # nor counted, and the events before it in the batch are kept
+        eng.ingest_many([Event(1, 0, 7)])
+        with pytest.raises(ValueError, match=r"-1 for athlete 1 at time 9"):
+            eng.ingest_many([Event(2, 0, 8), Event(1, -1, 9)])
+        assert eng.anomalies == []
+        assert (eng.events_accepted, eng.events_rejected) == (2, 0)
+        histories = eng.raw_histories()
+        assert histories[1] == [[PENDING], [7]]
+        assert histories[2] == [[PENDING], [8]]
+        eng.ingest_many([Event(3, 0, 10)])
+        eng.finalize_all()
+        assert [g.members for g in eng.groups_at(0)] == [(1, 2, 3)]
+
     def test_equal_timestamps_processed_in_input_order(self):
         eng = GroupingEngine(params(epsilon=0, m=2))
         eng.ingest_many([Event(5, 0, 100), Event(3, 0, 100)])

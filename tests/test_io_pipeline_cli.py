@@ -31,10 +31,12 @@ from racegroups.io import (
     write_ground_truth,
 )
 from racegroups.longterm import KIND_SURVIVING, LONGTERM_KINDS
-from racegroups.patterns import MERGES, SPLITS, SURVIVES
+from racegroups.patterns import MERGES, SPLITS, SURVIVES, IncompletePairError
 from racegroups.pipeline import (
     MODE_FINALIZED,
     MODE_ONLINE,
+    MODES,
+    RaceAnalysis,
     RunConfig,
     epsilon_sweep,
     run,
@@ -537,6 +539,20 @@ class TestPipeline:
             assert oset.finalized
         assert fin.labels == onl.labels
         assert fin.longest == onl.longest
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_pattern_sets_only_after_finalize(self, mode):
+        events, _ = generate(
+            GeneratorConfig(n_athletes=200, n_cps=8, params=PARAMS, seed=1)
+        )
+        config = RunConfig(params=PARAMS, mode=mode)
+        analysis = RaceAnalysis(config)
+        analysis.ingest(events[: len(events) // 2])
+        with pytest.raises(IncompletePairError, match="finalize"):
+            analysis.pattern_sets()
+        analysis.ingest(events[len(events) // 2 :])
+        analysis.finalize()
+        assert analysis.pattern_sets() == run(events, config).pattern_sets
 
     def test_counts_and_longest(self):
         events, truth = scripted_events()

@@ -30,7 +30,7 @@ from racegroups.patterns import (
     SURVIVES,
     IncompletePairError,
     PatternRecord,
-    classify_source,
+    _pattern_set,
     classify_target,
     detect_patterns,
 )
@@ -142,20 +142,24 @@ class TestClassifyTarget:
         assert rec.sources == ((0, 0), (0, 1))
 
 
+def disappeared(pattern_set):
+    return [rec.source for rec in pattern_set.records if rec.kind == DISAPPEARS]
+
+
 class TestClassifySource:
     def test_isolated_disappears(self):
-        pair = pair_of([set(range(10))], [set(range(100, 110))])
-        rec = classify_source(pair, 0)
-        assert rec == PatternRecord(DISAPPEARS, (0, 1), source=(0, 0))
+        result = detect_patterns(pair_of([set(range(10))], [set(range(100, 110))]))
+        assert PatternRecord(DISAPPEARS, (0, 1), source=(0, 0)) in result.records
 
     def test_forward_edge_means_not_disappeared(self):
-        pair = pair_of([set(range(10))], [set(range(9)) | {20}])
-        assert classify_source(pair, 0) is None
+        result = detect_patterns(pair_of([set(range(10))], [set(range(9)) | {20}]))
+        assert disappeared(result) == []
 
     def test_backward_only_is_owned_elsewhere(self):
         # shrink source: no forward edge, one backward child
-        pair = pair_of([set(range(13))], [set(range(8))])
-        assert classify_source(pair, 0) is None
+        result = detect_patterns(pair_of([set(range(13))], [set(range(8))]))
+        assert disappeared(result) == []
+        assert kinds_of(result) == [SHRINKS]
 
 
 class TestDetectPatterns:
@@ -291,6 +295,8 @@ class TestOracleAgreement:
         left, right = sets
         result = detect_patterns(pair_of(left, right))
         coverage_check(result, len(left), len(right))
+        reference, _ = oracle_patterns(left, right, MU)
+        coverage_check(reference, len(left), len(right))
 
     @settings(max_examples=300, deadline=None)
     @given(membership_pairs())
@@ -343,8 +349,9 @@ class TestOnlineTracker:
     @given(st.one_of(overlapping_streams(), slow_tail_streams()))
     @example((ABSORBED_AFTER_SPAWNED, Params(epsilon=2000, m=3, mu=MU)))
     def test_snapshot_after_every_group_matches_pair(self, case):
-        """After every finished group, each pair it touched snapshots to
-        a fresh classification of that pair's current state."""
+        """After every finished group, each pair it touched snapshots,
+        records and flags, to a fresh classification of that pair's
+        current state."""
         events, params = case
         analysis = RaceAnalysis(RunConfig(params=params, mode=MODE_ONLINE))
         tracker = analysis.tracker
@@ -353,16 +360,12 @@ class TestOnlineTracker:
         def on_group_then_check(group, updates):
             on_group(group, updates)
             for pair, _ in updates:
-                fresh = {
-                    classify_target(pair, r) for r in range(len(pair.right_sizes))
-                }
-                for left in range(len(pair.left_sizes)):
-                    rec = classify_source(pair, left)
-                    if rec is not None:
-                        fresh.add(rec)
-                assert tracker.snapshot(pair).records == tuple(
-                    sorted(fresh, key=PatternRecord.sort_key)
+                fresh = _pattern_set(
+                    pair,
+                    (classify_target(pair, r) for r in range(len(pair.right_sizes))),
+                    finalized=False,
                 )
+                assert tracker.snapshot(pair) == fresh
 
         tracker.on_group = on_group_then_check
         analysis.ingest(events)
