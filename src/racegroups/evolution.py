@@ -9,7 +9,7 @@ kept in one structure:
     the still-active component at x are stored;
   * the evolution graph: the directed relation edges derived from
     those counts - a forward edge S -> S' iff I(S, S') >= mu and a
-    backward edge S' -> S iff I(S', S) >= mu, both weighted |S ∩ S'|.
+    backward edge S' -> S iff I(S', S) >= mu.
 
 Relations are only ever evaluated between two finalized groups.  A
 tentative weight is the still-growing intersection with an unfinished
@@ -19,8 +19,18 @@ when the component fails the size threshold.
 
 Since groups at one control point are disjoint and mu > 1/2, each
 vertex has at most one outgoing edge in each direction; in-degrees are
-unbounded.  Those out-edges and the in-edge lists are exactly what the
-pattern detector needs, so they are maintained incrementally here.
+unbounded.  The out-edges map a group to its partner's ordinal; each
+edge's weight, |S ∩ S'|, is stored once, in the in-edge list of the
+edge's head, where the union tests of the pattern detector read it.
+
+A pair changes on exactly three events, in stream order:
+
+  * a right group finished: add_right sizes it, tests its finalized
+    intersections and keeps the pending rest as a tentative weight;
+  * a left group finished: add_left sizes it and tests the tentative
+    weights, which all counted towards it;
+  * the active left component failed the size threshold:
+    delete_tentative_edges drops the tentative weights.
 """
 
 from __future__ import annotations
@@ -61,8 +71,8 @@ class PairGraph:
         self.right_sizes: list[int] = []
         # right ordinal -> intersection with the active component at left_cp
         self.tentative: dict[int, int] = {}
-        self.fwd: dict[int, tuple[int, int]] = {}  # left -> (right, w)
-        self.bwd: dict[int, tuple[int, int]] = {}  # right -> (left, w)
+        self.fwd: dict[int, int] = {}  # left -> right
+        self.bwd: dict[int, int] = {}  # right -> left
         self.fwd_in: dict[int, list[tuple[int, int]]] = {}  # right -> [(left, w)]
         self.bwd_in: dict[int, list[tuple[int, int]]] = {}  # left -> [(right, w)]
 
@@ -70,42 +80,36 @@ class PairGraph:
     def right_cp(self) -> int:
         return self.left_cp + 1
 
-    # -- construction, driven by group finalization --------------------
+    # -- construction, one call per finished group ----------------------
 
-    def register_left(self, ordinal: int, size: int) -> None:
-        assert ordinal == len(self.left_sizes)
-        self.left_sizes.append(size)
+    def add_right(
+        self, ordinal: int, size: int, counts: dict[int, int], pending: int
+    ) -> list[EdgeAdded]:
+        """A right group finished.
 
-    def register_right(self, ordinal: int, size: int) -> None:
+        counts maps left group ordinals to shared-member counts, which
+        are final and tested at once; pending is the number of members
+        still inside the active component at the left control point,
+        kept as a tentative weight.
+        """
         assert ordinal == len(self.right_sizes)
         self.right_sizes.append(size)
-
-    def update_precursor(
-        self, right_ordinal: int, counts: dict[int, int], pending: int
-    ) -> list[EdgeAdded]:
-        """Record the intersections of a just-finalized right group.
-
-        counts maps left group ordinals to shared-member counts;
-        pending is the number of members still inside the active
-        component at the left control point (they become a tentative
-        edge).  The finalized intersections are immediately tested for
-        weak relations in both directions.
-        """
         added: list[EdgeAdded] = []
-        for left_ordinal, w in counts.items():
-            added.extend(self.promote_relations(left_ordinal, right_ordinal, w))
+        for left, weight in counts.items():
+            self._promote(left, ordinal, weight, added)
         if pending:
-            self.tentative[right_ordinal] = (
-                self.tentative.get(right_ordinal, 0) + pending
-            )
+            self.tentative[ordinal] = pending
         return added
 
-    def materialize_tentative(self, left_ordinal: int) -> list[EdgeAdded]:
-        """The active left component became this group: its tentative
-        intersections are final now and are tested."""
+    def add_left(self, ordinal: int, size: int) -> list[EdgeAdded]:
+        """A left group finished.  It is the active component every
+        tentative weight counted towards, so those are final now and
+        are tested."""
+        assert ordinal == len(self.left_sizes)
+        self.left_sizes.append(size)
         added: list[EdgeAdded] = []
-        for right_ordinal, w in self.tentative.items():
-            added.extend(self.promote_relations(left_ordinal, right_ordinal, w))
+        for right, weight in self.tentative.items():
+            self._promote(ordinal, right, weight, added)
         self.tentative.clear()
         return added
 
@@ -114,37 +118,26 @@ class PairGraph:
         tentative edges are discarded (idempotent)."""
         self.tentative.clear()
 
-    def promote_relations(
-        self, left_ordinal: int, right_ordinal: int, weight: int
-    ) -> list[EdgeAdded]:
+    def _promote(
+        self, left: int, right: int, weight: int, added: list[EdgeAdded]
+    ) -> None:
         """Add the relation edges this exact intersection supports."""
-        mu = self.mu
-        added = []
-        if mu.covers(weight, self.left_sizes[left_ordinal]):
-            self.fwd[left_ordinal] = (right_ordinal, weight)
-            self.fwd_in.setdefault(right_ordinal, []).append(
-                (left_ordinal, weight)
-            )
-            added.append(EdgeAdded(left_ordinal, right_ordinal, True))
-        if mu.covers(weight, self.right_sizes[right_ordinal]):
-            self.bwd[right_ordinal] = (left_ordinal, weight)
-            self.bwd_in.setdefault(left_ordinal, []).append(
-                (right_ordinal, weight)
-            )
-            added.append(EdgeAdded(left_ordinal, right_ordinal, False))
-        return added
+        if self.mu.covers(weight, self.left_sizes[left]):
+            self.fwd[left] = right
+            self.fwd_in.setdefault(right, []).append((left, weight))
+            added.append(EdgeAdded(left, right, True))
+        if self.mu.covers(weight, self.right_sizes[right]):
+            self.bwd[right] = left
+            self.bwd_in.setdefault(left, []).append((right, weight))
+            added.append(EdgeAdded(left, right, False))
 
     # -- queries --------------------------------------------------------
 
     def strong_partner_of_left(self, ordinal: int) -> int | None:
         """Right ordinal strongly related to this left group, if any."""
-        fwd = self.fwd.get(ordinal)
-        if fwd is None:
-            return None
-        right_ordinal = fwd[0]
-        back = self.bwd.get(right_ordinal)
-        if back is not None and back[0] == ordinal:
-            return right_ordinal
+        right = self.fwd.get(ordinal)
+        if right is not None and self.bwd.get(right) == ordinal:
+            return right
         return None
 
     @classmethod
@@ -164,15 +157,14 @@ class PairGraph:
         right = [set(s) for s in right_sets]
         pair = cls(left_cp, mu)
         for o, s in enumerate(left):
-            pair.register_left(o, len(s))
+            pair.add_left(o, len(s))
         for r, s in enumerate(right):
-            pair.register_right(r, len(s))
             counts = {}
             for o, ls in enumerate(left):
                 shared = len(ls & s)
                 if shared:
                     counts[o] = shared
-            pair.update_precursor(r, counts, 0)
+            pair.add_right(r, len(s), counts, 0)
         return pair
 
 
@@ -205,7 +197,6 @@ class GraphStack:
         updates: list[tuple[PairGraph, list[EdgeAdded]]] = []
         if cp > 0:
             pair = self.pair(cp - 1)
-            pair.register_right(ordinal, group.size)
             prev = cp - 1
             counts: dict[int, int] = {}
             pending = 0
@@ -216,10 +207,11 @@ class GraphStack:
                     counts[code] = counts.get(code, 0) + 1
                 elif code == PENDING:
                     pending += 1
-            updates.append((pair, pair.update_precursor(ordinal, counts, pending)))
+            updates.append(
+                (pair, pair.add_right(ordinal, group.size, counts, pending))
+            )
         left_pair = self.pair(cp)
-        left_pair.register_left(ordinal, group.size)
-        updates.append((left_pair, left_pair.materialize_tentative(ordinal)))
+        updates.append((left_pair, left_pair.add_left(ordinal, group.size)))
         return updates
 
     def on_failed_component(self, cp: int) -> None:

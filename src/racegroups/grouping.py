@@ -137,95 +137,95 @@ class GroupingEngine:
         last_stream = self._last_stream_time
         accepted = 0
         rejected = 0
-        for athlete, cp, t in events:
-            if last_stream is not None and t < last_stream:
-                self._last_stream_time = last_stream
-                self.events_accepted += accepted
-                self.events_rejected += rejected
-                raise StreamOrderError(
-                    f"event time {t} for athlete {athlete} at cp {cp} is before "
-                    f"stream time {last_stream}"
-                )
-            last_stream = t
-            rec = athletes.get(athlete)
-            if rec is None:
-                rec = athletes[athlete] = [[], []]
-            codes, times = rec
-            ncrossed = len(codes)
-            if cp < ncrossed:
-                if cp < 0:
-                    if not codes:
-                        del athletes[athlete]
-                    self._last_stream_time = last_stream
-                    self.events_accepted += accepted
-                    self.events_rejected += rejected
-                    raise ValueError(
-                        f"negative control point {cp} for athlete {athlete} "
-                        f"at time {t}"
+        try:
+            for athlete, cp, t in events:
+                if last_stream is not None and t < last_stream:
+                    raise StreamOrderError(
+                        f"event time {t} for athlete {athlete} at cp {cp} is "
+                        f"before stream time {last_stream}"
                     )
-                kind = ANOMALY_ORDER if codes[cp] == ABSENT else ANOMALY_DUPLICATE
-                anomalies.append(
-                    AnomalyRecord(
-                        athlete,
-                        kind,
-                        cp,
-                        f"event at t={t} after cp {ncrossed - 1} was recorded",
-                    )
-                )
-                rejected += 1
-                continue
-            # the trailing slot is a real crossing: absences are only
-            # backfilled before one
-            if ncrossed and times[-1] >= t:
-                anomalies.append(
-                    AnomalyRecord(
-                        athlete,
-                        ANOMALY_ORDER,
-                        cp,
-                        f"time {t} does not increase over previous crossing {times[-1]}",
-                    )
-                )
-                rejected += 1
-                continue
-            if cp > ncrossed:
-                for skipped in range(ncrossed, cp):
-                    codes.append(ABSENT)
-                    times.append(-1)
+                last_stream = t
+                rec = athletes.get(athlete)
+                if rec is None:
+                    rec = athletes[athlete] = [[], []]
+                codes, times = rec
+                ncrossed = len(codes)
+                if cp < ncrossed:
+                    if cp < 0:
+                        if not codes:
+                            del athletes[athlete]
+                        raise ValueError(
+                            f"negative control point {cp} for athlete {athlete} "
+                            f"at time {t}"
+                        )
+                    kind = ANOMALY_ORDER if codes[cp] == ABSENT else ANOMALY_DUPLICATE
                     anomalies.append(
                         AnomalyRecord(
-                            athlete, ANOMALY_SKIPPED, skipped, "no crossing recorded"
+                            athlete,
+                            kind,
+                            cp,
+                            f"event at t={t} after cp {ncrossed - 1} was recorded",
                         )
                     )
-            codes.append(PENDING)
-            times.append(t)
-            accepted += 1
-            comp = active.get(cp)
-            if comp is None:
-                active[cp] = [[athlete], t, t]
-            elif t - comp[2] <= eps:
-                comp[0].append(athlete)
-                comp[2] = t
-            else:
-                finished = self._finish(cp, comp)
-                if on_finish is not None:
-                    on_finish(finished)
-                active[cp] = [[athlete], t, t]
-        self._last_stream_time = last_stream
-        self.events_accepted += accepted
-        self.events_rejected += rejected
+                    rejected += 1
+                    continue
+                # the trailing slot is a real crossing: absences are only
+                # backfilled before one
+                if ncrossed and times[-1] >= t:
+                    anomalies.append(
+                        AnomalyRecord(
+                            athlete,
+                            ANOMALY_ORDER,
+                            cp,
+                            f"time {t} does not increase over previous crossing "
+                            f"{times[-1]}",
+                        )
+                    )
+                    rejected += 1
+                    continue
+                if cp > ncrossed:
+                    for skipped in range(ncrossed, cp):
+                        codes.append(ABSENT)
+                        times.append(-1)
+                        anomalies.append(
+                            AnomalyRecord(
+                                athlete, ANOMALY_SKIPPED, skipped, "no crossing recorded"
+                            )
+                        )
+                codes.append(PENDING)
+                times.append(t)
+                accepted += 1
+                comp = active.get(cp)
+                if comp is None:
+                    active[cp] = [[athlete], t, t]
+                elif t - comp[2] <= eps:
+                    comp[0].append(athlete)
+                    comp[2] = t
+                else:
+                    # the new component is in place before the callback
+                    # runs, so a callback that raises leaves a sound state
+                    active[cp] = [[athlete], t, t]
+                    finished = self._finish(cp, comp)
+                    if on_finish is not None:
+                        on_finish(finished)
+        finally:
+            self._last_stream_time = last_stream
+            self.events_accepted += accepted
+            self.events_rejected += rejected
 
     def finalize_all(self, on_finish=None) -> None:
         """Broom wagon: finish every remaining active component.
 
         Components are finished in control-point order so that, by the
         time a group is decreed at cp c, every history entry at c-1 is
-        already resolved.
+        already resolved.  Each leaves the active set before its
+        callback runs, so none is finished twice.
         """
-        for cp in sorted(self._active):
-            finished = self._finish(cp, self._active[cp])
+        active = self._active
+        for cp in sorted(active):
+            finished = self._finish(cp, active.pop(cp))
             if on_finish is not None:
                 on_finish(finished)
-        self._active.clear()
         self._finalized = True
 
     def _finish(self, cp: int, comp: list) -> FinishedComponent:

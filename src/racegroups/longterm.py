@@ -62,11 +62,11 @@ class _EdgeView(Mapping):
             if self._forward:
                 i = cp - self._first
                 if i >= 0:
-                    return (cp + 1, self._pairs[i].fwd[o][0])
+                    return (cp + 1, self._pairs[i].fwd[o])
             else:
                 i = cp - 1 - self._first
                 if i >= 0:
-                    return (cp - 1, self._pairs[i].bwd[o][0])
+                    return (cp - 1, self._pairs[i].bwd[o])
         except (TypeError, ValueError, IndexError, KeyError):
             pass
         raise KeyError(key)
@@ -212,19 +212,18 @@ def compute_labels(graph: GlobalGraph) -> LongTermLabels:
         prev_s, prev_f, prev_r = s, f, r
         s, f, r = [0] * n, [0] * n, [0] * n
         fwd = pair.fwd
-        for left, (right, _) in fwd.items():
+        for left, right in fwd.items():
             value = prev_f[left] + 1
             if value > f[right]:
                 f[right] = value
             value = prev_r[left] + 1
             if value > r[right]:
                 r[right] = value
-        for right, (left, _) in pair.bwd.items():
+        for right, left in pair.bwd.items():
             value = prev_r[left] + 1
             if value > r[right]:
                 r[right] = value
-            out = fwd.get(left)
-            if out is not None and out[0] == right:
+            if fwd.get(left) == right:
                 s[right] = prev_s[left] + 1
         lpS.append(s)
         lpF.append(f)
@@ -234,7 +233,7 @@ def compute_labels(graph: GlobalGraph) -> LongTermLabels:
     lpB = [b]
     for pair, n in zip(reversed(graph.pairs), reversed(counts[:-1])):
         next_b, b = b, [0] * n
-        for right, (left, _) in pair.bwd.items():
+        for right, left in pair.bwd.items():
             value = next_b[right] + 1
             if value > b[left]:
                 b[left] = value
@@ -283,11 +282,11 @@ def _walk(
         else:
             pair = pairs[i - 1]
             if kind == KIND_SURVIVING:
-                linked = [pair.bwd[o][0]]
+                linked = [pair.bwd[o]]
             else:
                 linked = [u for u, _ in pair.fwd_in.get(o, ())]
                 if kind == KIND_RELATED and o in pair.bwd:
-                    linked.append(pair.bwd[o][0])
+                    linked.append(pair.bwd[o])
             i -= 1
         level = levels[i]
         o = min(u for u in linked if level[u] == value)

@@ -136,11 +136,10 @@ def classify_target(pair: PairGraph, right: int) -> PatternRecord:
     """The single record owning right group `right` of this pair."""
     lcp, rcp = pair.left_cp, pair.right_cp
     parents = pair.fwd_in.get(right, ())
-    back = pair.bwd.get(right)
+    left = pair.bwd.get(right)
     if not parents:
-        if back is None:
+        if left is None:
             return PatternRecord(APPEARS, (lcp, rcp), target=(rcp, right))
-        left = back[0]
         strong_right = pair.strong_partner_of_left(left)
         if strong_right is not None:
             # the source survives elsewhere; this target is one of its
@@ -159,11 +158,8 @@ def classify_target(pair: PairGraph, right: int) -> PatternRecord:
             source=(lcp, left),
             targets=tuple(sorted((rcp, r) for r, _ in children)),
         )
-    if back is not None:
-        left = back[0]
-        fwd = pair.fwd.get(left)
-        if fwd is not None and fwd[0] == right:
-            return _survives_record(pair, left, right)
+    if left is not None and pair.fwd.get(left) == right:
+        return _survives_record(pair, left, right)
     if len(parents) == 1:
         return PatternRecord(
             EXPANDS, (lcp, rcp), source=(lcp, parents[0][0]), target=(rcp, right)
@@ -274,7 +270,7 @@ class PatternTracker:
                     dirty.add(right)
                     back = pair.bwd.get(right)
                     if back is not None:
-                        dirty.update(r for r, _ in pair.bwd_in[back[0]])
+                        dirty.update(r for r, _ in pair.bwd_in[back])
                 else:
                     dirty.update(r for r, _ in pair.bwd_in[left])
             if not dirty:

@@ -213,23 +213,20 @@ class RaceAnalysis:
             cp = len(rec[0]) - 1
             if cp > last_cp or (cp == last_cp and rec[1][-1] < last_time):
                 position += 1
+        record = self.engine.raw_histories()[athlete]
         segment_pace = average_pace = None
-        crossed = self._crossed_series(athlete)
         course = self.config.course
-        if course is not None and len(crossed) >= 2:
-            span = [(cp, t) for cp, t in crossed if cp in course]
+        if course is not None:
+            span = _course_series(record, sorted(course.items()))
             if len(span) >= 2:
-                (c0, t0), (c_prev, t_prev), (c_last, t_last) = (
+                (_, t0, d0), (_, t_prev, d_prev), (_, t_last, d_last) = (
                     span[0],
                     span[-2],
                     span[-1],
                 )
-                average_pace = _pace(t_last - t0, course[c_last] - course[c0])
-                segment_pace = _pace(
-                    t_last - t_prev, course[c_last] - course[c_prev]
-                )
-        codes = self.engine.raw_histories()[athlete][0]
-        history = tuple(_history_token(cp, code) for cp, code in enumerate(codes))
+                average_pace = _pace(t_last - t0, d_last - d0)
+                segment_pace = _pace(t_last - t_prev, d_last - d_prev)
+        history = tuple(_history_token(cp, code) for cp, code in enumerate(record[0]))
         return AthleteStatus(
             athlete=athlete,
             last_cp=last_cp,
@@ -239,11 +236,6 @@ class RaceAnalysis:
             average_pace=average_pace,
             history=history,
         )
-
-    def _crossed_series(self, athlete: int) -> list[tuple[int, int]]:
-        rec = self.engine.raw_histories()[athlete]
-        codes, times = rec
-        return [(cp, times[cp]) for cp in range(len(codes)) if codes[cp] != ABSENT]
 
     def anomalies(self) -> list[AnomalyRecord]:
         """Stream irregularities plus pace jumps, one record per
@@ -262,13 +254,7 @@ class RaceAnalysis:
             points = sorted(course.items())
             histories = self.engine.raw_histories()
             for athlete in sorted(histories):
-                codes, times = histories[athlete]
-                n_cps = len(codes)
-                series = [
-                    (cp, times[cp], meters)
-                    for cp, meters in points
-                    if cp < n_cps and codes[cp] != ABSENT
-                ]
+                series = _course_series(histories[athlete], points)
                 if len(series) < 3:
                     continue  # the first segment has no history to average
                 _, t0, d0 = series[0]
@@ -295,6 +281,18 @@ class RaceAnalysis:
                         )
                     t_prev, d_prev = t_cur, d_cur
         return out
+
+
+def _course_series(rec: list, points: list[tuple[int, int]]) -> list[tuple]:
+    """(cp, time, meters) of each course point, given as sorted
+    (cp, meters) pairs, that the athlete with history rec crossed."""
+    codes, times = rec
+    n_cps = len(codes)
+    return [
+        (cp, times[cp], meters)
+        for cp, meters in points
+        if cp < n_cps and codes[cp] != ABSENT
+    ]
 
 
 def _pace(delta_ms: int, delta_m: int) -> float:

@@ -102,12 +102,12 @@ def test_criterion_1_oracle_equivalence(record_property):
         fwd_edges = {
             ((pair.left_cp, l), (pair.right_cp, r))
             for pair in pairs
-            for l, (r, _w) in pair.fwd.items()
+            for l, r in pair.fwd.items()
         }
         bwd_edges = {
             ((pair.left_cp, l), (pair.right_cp, r))
             for pair in pairs
-            for r, (l, _w) in pair.bwd.items()
+            for r, l in pair.bwd.items()
         }
         expected_labels = oracle_longterm(
             levels, fwd_edges, bwd_edges, max_groups=10**6

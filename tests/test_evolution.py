@@ -4,8 +4,15 @@ and the streaming construction against a from-scratch rebuild."""
 from __future__ import annotations
 
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import cohort_streams, complete_pairs, run_stream
+from conftest import (
+    cohort_streams,
+    complete_pairs,
+    overlapping_streams,
+    run_stream,
+    slow_tail_streams,
+)
 from racegroups.core import Event, Mu, Params
 from racegroups.evolution import PairGraph
 from racegroups.oracles import oracle_groups
@@ -13,41 +20,39 @@ from racegroups.oracles import oracle_groups
 MU = Mu(7, 10)
 
 
-def make_pair(left_sizes, right_sizes, mu=MU):
+def make_pair(left_sizes, mu=MU):
     pair = PairGraph(0, mu)
     for o, size in enumerate(left_sizes):
-        pair.register_left(o, size)
-    for r, size in enumerate(right_sizes):
-        pair.register_right(r, size)
+        pair.add_left(o, size)
     return pair
 
 
 class TestPromotion:
     def test_strong_pair_promotes_both_directions(self):
-        pair = make_pair([10], [10])
-        added = pair.update_precursor(0, {0: 9}, 0)
+        pair = make_pair([10])
+        added = pair.add_right(0, 10, {0: 9}, 0)
         assert {(e.forward) for e in added} == {True, False}
-        assert pair.fwd[0] == (0, 9)
-        assert pair.bwd[0] == (0, 9)
+        assert pair.fwd[0] == 0 and pair.fwd_in[0] == [(0, 9)]
+        assert pair.bwd[0] == 0 and pair.bwd_in[0] == [(0, 9)]
 
     def test_containment_promotes_forward_only(self):
         # a 4-athlete group fully inside a 12-athlete group: 4/4 covers,
         # 4/12 does not
-        pair = make_pair([4], [12])
-        added = pair.update_precursor(0, {0: 4}, 0)
+        pair = make_pair([4])
+        added = pair.add_right(0, 12, {0: 4}, 0)
         assert [e.forward for e in added] == [True]
         assert pair.bwd == {}
 
     def test_exact_threshold_counts(self):
         # 7 of 10 at mu=7/10 is a relation; 6 of 10 is not
-        pair = make_pair([10, 10], [100, 100])
-        assert [e.forward for e in pair.update_precursor(0, {0: 7}, 0)] == [True]
-        assert pair.update_precursor(1, {1: 6}, 0) == []
+        pair = make_pair([10, 10])
+        assert [e.forward for e in pair.add_right(0, 100, {0: 7}, 0)] == [True]
+        assert pair.add_right(1, 100, {1: 6}, 0) == []
 
     def test_strong_partner(self):
-        pair = make_pair([10, 4], [10, 12])
-        pair.update_precursor(0, {0: 9}, 0)
-        pair.update_precursor(1, {1: 4}, 0)
+        pair = make_pair([10, 4])
+        pair.add_right(0, 10, {0: 9}, 0)
+        pair.add_right(1, 12, {1: 4}, 0)
         assert pair.strong_partner_of_left(0) == 0
         assert pair.strong_partner_of_left(1) is None  # forward only
 
@@ -55,36 +60,30 @@ class TestPromotion:
 class TestTentative:
     def test_materialize_promotes(self):
         pair = PairGraph(0, MU)
-        pair.register_right(0, 10)
-        assert pair.update_precursor(0, {}, 7) == []
+        assert pair.add_right(0, 10, {}, 7) == []
         assert pair.tentative == {0: 7}
-        pair.register_left(0, 10)
-        added = pair.materialize_tentative(0)
+        added = pair.add_left(0, 10)
         assert pair.tentative == {}
         # 7/10 covers in both directions at mu=7/10
         assert {e.forward for e in added} == {True, False}
-        assert pair.fwd == {0: (0, 7)} and pair.bwd == {0: (0, 7)}
+        assert pair.fwd == {0: 0} and pair.bwd == {0: 0}
+        assert pair.fwd_in == {0: [(0, 7)]} and pair.bwd_in == {0: [(0, 7)]}
 
     def test_two_right_groups_share_one_component(self):
         pair = PairGraph(0, MU)
-        pair.register_right(0, 10)
-        pair.register_right(1, 8)
-        pair.update_precursor(0, {}, 3)
-        pair.update_precursor(1, {}, 6)
-        pair.register_left(0, 9)
-        pair.materialize_tentative(0)
+        pair.add_right(0, 10, {}, 3)
+        pair.add_right(1, 8, {}, 6)
+        pair.add_left(0, 9)
         # 6 of 9 misses mu, 6 of 8 covers it: backward edge only
         assert pair.fwd == {}
-        assert pair.bwd == {1: (0, 6)}
+        assert pair.bwd == {1: 0} and pair.bwd_in == {0: [(1, 6)]}
 
     def test_delete_tentative_is_idempotent(self):
         pair = PairGraph(0, MU)
-        pair.register_right(0, 10)
-        pair.update_precursor(0, {}, 9)
+        pair.add_right(0, 10, {}, 9)
         pair.delete_tentative_edges()
         pair.delete_tentative_edges()
-        pair.register_left(0, 9)
-        assert pair.materialize_tentative(0) == []
+        assert pair.add_left(0, 9) == []
 
 
 class TestFromMemberships:
@@ -93,8 +92,10 @@ class TestFromMemberships:
         right = [{1, 2, 3, 9}, {5, 6, 7, 8}]
         pair = PairGraph.from_memberships(2, left, right, MU)
         # each shared count, 3 of 3 or of 4, covers mu = 7/10 both ways
-        assert pair.fwd == {0: (0, 3), 1: (1, 3)}
-        assert pair.bwd == {0: (0, 3), 1: (1, 3)}
+        assert pair.fwd == {0: 0, 1: 1}
+        assert pair.bwd == {0: 0, 1: 1}
+        assert pair.fwd_in == {0: [(0, 3)], 1: [(1, 3)]}
+        assert pair.bwd_in == {0: [(0, 3)], 1: [(1, 3)]}
         assert pair.left_sizes == [4, 3]
         assert pair.right_sizes == [4, 4]
         assert pair.right_cp == 3
@@ -125,6 +126,18 @@ def assert_pairs_equal(got: PairGraph, want: PairGraph):
     }
 
 
+def assert_stored_forms_agree(pair: PairGraph):
+    # every out-map entry tail -> head has exactly one (tail, w) in the
+    # in-list of head, and no in-list entry lacks its out-map entry
+    for out, ins in ((pair.fwd, pair.fwd_in), (pair.bwd, pair.bwd_in)):
+        stored = [(tail, head) for head, edges in ins.items() for tail, _ in edges]
+        assert sorted(stored) == sorted(out.items())
+
+
+def any_streams():
+    return st.one_of(cohort_streams(), overlapping_streams(), slow_tail_streams())
+
+
 class TestStreamingStack:
     def test_small_stream_matches_rebuild(self):
         # ten athletes cross cp 0 together; seven of them cross cp 1
@@ -149,7 +162,7 @@ class TestStreamingStack:
         assert pairs[0].strong_partner_of_left(0) == 0
 
     @settings(max_examples=200, deadline=None)
-    @given(cohort_streams())
+    @given(any_streams())
     def test_streaming_matches_rebuild(self, case):
         events, params = case
         engine, stack, _ = run_stream(events, params)
@@ -163,9 +176,10 @@ class TestStreamingStack:
                 params.mu,
             )
             assert_pairs_equal(pair, want)
+            assert_stored_forms_agree(pair)
 
     @settings(max_examples=200, deadline=None)
-    @given(cohort_streams())
+    @given(any_streams())
     def test_out_degree_at_most_one(self, case):
         events, params = case
         engine, stack, _ = run_stream(events, params)
@@ -179,7 +193,7 @@ class TestStreamingStack:
             assert len(targets) == len(set(targets))
 
     @settings(max_examples=150, deadline=None)
-    @given(cohort_streams())
+    @given(any_streams())
     # group 1.0 finishes while its member 5 is still pending at cp 0
     @example(
         (

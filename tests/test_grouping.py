@@ -92,6 +92,26 @@ class TestIngest:
         eng.finalize_all()
         assert [g.members for g in eng.groups_at(0)] == [(1, 2, 3)]
 
+    def test_raising_callback_leaves_a_sound_state(self):
+        # the third event finishes the first component and the callback
+        # raises: the event still counts, stream time still advances and
+        # the finished component is not finished again
+        def fail(finished):
+            raise RuntimeError("callback failed")
+
+        eng = GroupingEngine(params(epsilon=10, m=2))
+        with pytest.raises(RuntimeError):
+            eng.ingest_many(
+                [Event(1, 0, 0), Event(2, 0, 5), Event(3, 0, 100)], on_finish=fail
+            )
+        assert (eng.events_accepted, eng.events_rejected) == (3, 0)
+        with pytest.raises(StreamOrderError):
+            eng.ingest_many([Event(4, 0, 50)])
+        eng.finalize_all()
+        assert [g.members for g in eng.groups_at(0)] == [(1, 2)]
+        assert eng.outliers_at(0) == [3]
+        assert eng.n_components_at(0) == 2
+
     def test_equal_timestamps_processed_in_input_order(self):
         eng = GroupingEngine(params(epsilon=0, m=2))
         eng.ingest_many([Event(5, 0, 100), Event(3, 0, 100)])
@@ -189,6 +209,21 @@ class TestFinalizeAll:
         outs = []
         eng.finalize_all(on_finish=outs.append)
         assert [o.cp for o in outs] == [0, 1, 2]
+
+    def test_raising_callback_finishes_nothing_twice(self):
+        def fail(finished):
+            raise RuntimeError("callback failed")
+
+        eng = GroupingEngine(params(epsilon=10, m=2))
+        eng.ingest_many([Event(1, 0, 0), Event(2, 0, 5), Event(1, 1, 1000)])
+        with pytest.raises(RuntimeError):
+            eng.finalize_all(on_finish=fail)
+        outs = []
+        eng.finalize_all(on_finish=outs.append)
+        # cp 0 was finished before the callback raised; only cp 1 is left
+        assert [o.cp for o in outs] == [1]
+        assert [g.members for g in eng.groups_at(0)] == [(1, 2)]
+        assert eng.n_components_at(0) == 1
 
     def test_no_ingest_after_broom_wagon(self):
         eng = GroupingEngine(params())

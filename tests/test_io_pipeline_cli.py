@@ -38,6 +38,7 @@ from racegroups.pipeline import (
     MODES,
     RaceAnalysis,
     RunConfig,
+    RunResult,
     epsilon_sweep,
     run,
 )
@@ -739,6 +740,15 @@ class TestPipeline:
         # the rows hold only final totals: an online config gives the same
         online = RunConfig(params=PARAMS, mode=MODE_ONLINE)
         assert epsilon_sweep(events, online, [0, 1000, 2000, 60000]) == rows
+
+    def test_readme_library_block_runs(self):
+        # the python block of the README's "## Library" section, as written
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        section = readme.split("\n## Library\n", 1)[1]
+        code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+        namespace: dict = {}
+        exec(compile(code, "README.md", "exec"), namespace)
+        assert isinstance(namespace["result"], RunResult)
 
 
 def run_cli(args):

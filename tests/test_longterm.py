@@ -260,9 +260,9 @@ class TestProperties:
         levels = [graph.level(cp) for cp in graph.cps()]
         fwd, bwd = set(), set()
         for p in pairs:
-            for o, (r, _) in p.fwd.items():
+            for o, r in p.fwd.items():
                 fwd.add(((p.left_cp, o), (p.right_cp, r)))
-            for r, (o, _) in p.bwd.items():
+            for r, o in p.bwd.items():
                 bwd.add(((p.left_cp, o), (p.right_cp, r)))
         want = oracle_longterm(levels, fwd, bwd, max_groups=60)
         assert labels.lpS == want["lpS"]
@@ -316,9 +316,9 @@ class TestWitnessWalk:
         levels = [graph.level(cp) for cp in graph.cps()]
         fwd, bwd = set(), set()
         for p in pairs:
-            for o, (r, _) in p.fwd.items():
+            for o, r in p.fwd.items():
                 fwd.add(((p.left_cp, o), (p.right_cp, r)))
-            for r, (o, _) in p.bwd.items():
+            for r, o in p.bwd.items():
                 bwd.add(((p.left_cp, o), (p.right_cp, r)))
         want = oracle_longterm(levels, fwd, bwd, max_groups=100)
         assert labels.lpS == want["lpS"]

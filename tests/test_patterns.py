@@ -192,8 +192,7 @@ class TestDetectPatterns:
 
     def test_incomplete_pair_raises(self):
         pair = PairGraph(0, MU)
-        pair.register_right(0, 10)
-        pair.update_precursor(0, {}, 10)
+        pair.add_right(0, 10, {}, 10)
         with pytest.raises(IncompletePairError):
             detect_patterns(pair)
 
