@@ -52,6 +52,7 @@ from .synth import (
     Behavior,
     GeneratorConfig,
     InfeasibleScriptError,
+    course_points,
     generate,
     generate_field,
 )
@@ -447,7 +448,6 @@ def _generate(argv) -> int:
             resolution_ms=args.resolution,
             course_length_m=args.course_length,
         )
-        config = None
     else:
         params = Params(epsilon=args.epsilon, m=args.min_group, mu=args.mu)
         config = GeneratorConfig(
@@ -466,14 +466,7 @@ def _generate(argv) -> int:
                 write_ground_truth(fh, truth)
     write_events(args.events, events)
     if args.course:
-        if config is not None:
-            points = config.course_points()
-        else:
-            points = [
-                (c, args.course_length * (c + 1) // args.cps)
-                for c in range(args.cps)
-            ]
-        write_course(args.course, points)
+        write_course(args.course, course_points(args.cps, args.course_length))
     print(
         f"generated events={len(events)} athletes={args.athletes} "
         f"cps={args.cps} seed={args.seed} path={args.events}"

@@ -85,8 +85,6 @@ class FinishedComponent(NamedTuple):
 
     cp: int
     members: tuple[int, ...]
-    t_first: int
-    t_last: int
     group: Group | None
 
 
@@ -103,7 +101,9 @@ class GroupingEngine:
         self.component_counts: dict[int, int] = {}
         # athlete -> [codes per cp, times per cp]
         self._athletes: dict[int, list] = {}
+        # one record per (athlete, kind, cp), however often it recurs
         self.anomalies: list[AnomalyRecord] = []
+        self._anomaly_keys: set[tuple[int, str, int]] = set()
         self.events_accepted = 0
         self.events_rejected = 0
         self._last_stream_time: int | None = None
@@ -126,14 +126,15 @@ class GroupingEngine:
         irregularities (duplicate crossings, control points out of
         order) are rejected with an anomaly record instead, since they
         indicate corrupt data for one athlete rather than a broken
-        stream.
+        stream.  An (athlete, kind, cp) is recorded once however often
+        it recurs; events_rejected counts every rejection.
         """
         if self._finalized:
             raise StreamOrderError("stream already finalized by the broom wagon")
         eps = self.params.epsilon
         active = self._active
         athletes = self._athletes
-        anomalies = self.anomalies
+        record = self._record_anomaly
         last_stream = self._last_stream_time
         accepted = 0
         rejected = 0
@@ -159,27 +160,23 @@ class GroupingEngine:
                             f"at time {t}"
                         )
                     kind = ANOMALY_ORDER if codes[cp] == ABSENT else ANOMALY_DUPLICATE
-                    anomalies.append(
-                        AnomalyRecord(
-                            athlete,
-                            kind,
-                            cp,
-                            f"event at t={t} after cp {ncrossed - 1} was recorded",
-                        )
+                    record(
+                        athlete,
+                        kind,
+                        cp,
+                        f"event at t={t} after cp {ncrossed - 1} was recorded",
                     )
                     rejected += 1
                     continue
                 # the trailing slot is a real crossing: absences are only
                 # backfilled before one
                 if ncrossed and times[-1] >= t:
-                    anomalies.append(
-                        AnomalyRecord(
-                            athlete,
-                            ANOMALY_ORDER,
-                            cp,
-                            f"time {t} does not increase over previous crossing "
-                            f"{times[-1]}",
-                        )
+                    record(
+                        athlete,
+                        ANOMALY_ORDER,
+                        cp,
+                        f"time {t} does not increase over previous crossing "
+                        f"{times[-1]}",
                     )
                     rejected += 1
                     continue
@@ -187,11 +184,7 @@ class GroupingEngine:
                     for skipped in range(ncrossed, cp):
                         codes.append(ABSENT)
                         times.append(-1)
-                        anomalies.append(
-                            AnomalyRecord(
-                                athlete, ANOMALY_SKIPPED, skipped, "no crossing recorded"
-                            )
-                        )
+                        record(athlete, ANOMALY_SKIPPED, skipped, "no crossing recorded")
                 codes.append(PENDING)
                 times.append(t)
                 accepted += 1
@@ -212,6 +205,12 @@ class GroupingEngine:
             self._last_stream_time = last_stream
             self.events_accepted += accepted
             self.events_rejected += rejected
+
+    def _record_anomaly(self, athlete: int, kind: str, cp: int, details: str) -> None:
+        key = (athlete, kind, cp)
+        if key not in self._anomaly_keys:
+            self._anomaly_keys.add(key)
+            self.anomalies.append(AnomalyRecord(athlete, kind, cp, details))
 
     def finalize_all(self, on_finish=None) -> None:
         """Broom wagon: finish every remaining active component.
@@ -250,7 +249,7 @@ class GroupingEngine:
             bucket.extend(members)
             for athlete in members:
                 athletes[athlete][0][cp] = OUTLIER
-        return FinishedComponent(cp, members, t_first, t_last, group)
+        return FinishedComponent(cp, members, group)
 
     # -- read access ---------------------------------------------------
 

@@ -16,17 +16,21 @@ group holding the largest label of a kind ends (or, for lpB, starts)
 the longest behavior of that kind, and the path is recovered by
 walking adjacencies whose labels decrease by one.
 
-The graph is not copied out of the pairs: the sweeps read each pair's
-ordinal-keyed edge maps and keep one list of labels per control point,
-indexed by group ordinal.  Group-id keyed access goes through
-read-only mapping views over those structures.
+The graph is not copied out of the pairs: the sweeps and the walk read
+the pair list in place, through each pair's ordinal-keyed edge maps,
+and keep one list of labels per control point, indexed by group
+ordinal.  The group-id keyed tables (GlobalGraph.fwd and bwd, the
+lpS/lpF/lpB/lpR label tables) are read-only dicts built on first read;
+nothing in the sweeps or the walk reads them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Sequence
 
 from .evolution import PairGraph
 from .grouping import GroupId
@@ -45,57 +49,15 @@ _LABEL_OF_KIND = {
 }
 
 
-class _EdgeView(Mapping):
-    """Read-only group-id view of one direction's out-edges over the
-    pairs: fwd maps S -> S' when S ~ S', bwd maps S' -> S when S' ~ S."""
-
-    __slots__ = ("_pairs", "_first", "_forward")
-
-    def __init__(self, pairs: Sequence[PairGraph], first: int, forward: bool) -> None:
-        self._pairs = pairs
-        self._first = first
-        self._forward = forward
-
-    def __getitem__(self, key: GroupId) -> GroupId:
-        try:
-            cp, o = key
-            if self._forward:
-                i = cp - self._first
-                if i >= 0:
-                    return (cp + 1, self._pairs[i].fwd[o])
-            else:
-                i = cp - 1 - self._first
-                if i >= 0:
-                    return (cp - 1, self._pairs[i].bwd[o])
-        except (TypeError, ValueError, IndexError, KeyError):
-            pass
-        raise KeyError(key)
-
-    def __iter__(self) -> Iterator[GroupId]:
-        for pair in self._pairs:
-            if self._forward:
-                cp, edges = pair.left_cp, pair.fwd
-            else:
-                cp, edges = pair.right_cp, pair.bwd
-            for o in edges:
-                yield (cp, o)
-
-    def __len__(self) -> int:
-        if self._forward:
-            return sum(len(pair.fwd) for pair in self._pairs)
-        return sum(len(pair.bwd) for pair in self._pairs)
-
-
 class GlobalGraph:
     """Union of the pair graphs, read in place.
 
     pairs[i] joins control points first + i and first + i + 1; counts
     holds the number of groups per control point.  Every vertex has at
-    most one outgoing edge in each direction; fwd and bwd are
-    group-id views of those edges.
+    most one outgoing edge in each direction; fwd and bwd map a group
+    id to the group id at the other end of those edges, and are built
+    on first read.
     """
-
-    __slots__ = ("pairs", "first", "counts", "fwd", "bwd")
 
     def __init__(
         self, pairs: Sequence[PairGraph], first: int, counts: Sequence[int]
@@ -105,8 +67,28 @@ class GlobalGraph:
         self.counts: dict[int, int] = {
             first + i: n for i, n in enumerate(counts)
         }  # cp -> number of groups
-        self.fwd: Mapping[GroupId, GroupId] = _EdgeView(pairs, first, True)
-        self.bwd: Mapping[GroupId, GroupId] = _EdgeView(pairs, first, False)
+
+    @cached_property
+    def fwd(self) -> Mapping[GroupId, GroupId]:
+        """S -> S' for every forward edge S ~ S'."""
+        return MappingProxyType(
+            {
+                (pair.left_cp, o): (pair.right_cp, r)
+                for pair in self.pairs
+                for o, r in pair.fwd.items()
+            }
+        )
+
+    @cached_property
+    def bwd(self) -> Mapping[GroupId, GroupId]:
+        """S' -> S for every backward edge S' ~ S."""
+        return MappingProxyType(
+            {
+                (pair.right_cp, r): (pair.left_cp, o)
+                for pair in self.pairs
+                for r, o in pair.bwd.items()
+            }
+        )
 
     def cps(self) -> list[int]:
         return list(self.counts)
@@ -150,41 +132,39 @@ def build_global(pairs: Sequence[PairGraph]) -> GlobalGraph:
     return GlobalGraph(ordered, ordered[0].left_cp, counts)
 
 
-class _LabelView(Mapping):
-    """Read-only group-id view of per-control-point label lists."""
-
-    __slots__ = ("_first", "_levels")
-
-    def __init__(self, first: int, levels: list[list[int]]) -> None:
-        self._first = first
-        self._levels = levels
-
-    def __getitem__(self, key: GroupId) -> int:
-        try:
-            cp, o = key
-            i = cp - self._first
-            if i >= 0 and o >= 0:
-                return self._levels[i][o]
-        except (TypeError, ValueError, IndexError):
-            pass
-        raise KeyError(key)
-
-    def __iter__(self) -> Iterator[GroupId]:
-        for i, level in enumerate(self._levels):
-            cp = self._first + i
-            for o in range(len(level)):
-                yield (cp, o)
-
-    def __len__(self) -> int:
-        return sum(map(len, self._levels))
-
-
 @dataclass(frozen=True)
 class LongTermLabels:
-    lpS: Mapping[GroupId, int]
-    lpF: Mapping[GroupId, int]
-    lpB: Mapping[GroupId, int]
-    lpR: Mapping[GroupId, int]
+    """Per-control-point label lists, indexed by group ordinal, one set
+    per kind; lpS, lpF, lpB and lpR are the group-id tables."""
+
+    _first: int = field(repr=False)
+    _levels: dict[str, list[list[int]]] = field(repr=False)  # kind -> lists
+
+    def _table(self, kind: str) -> Mapping[GroupId, int]:
+        first = self._first
+        return MappingProxyType(
+            {
+                (first + i, o): value
+                for i, level in enumerate(self._levels[kind])
+                for o, value in enumerate(level)
+            }
+        )
+
+    @cached_property
+    def lpS(self) -> Mapping[GroupId, int]:
+        return self._table(KIND_SURVIVING)
+
+    @cached_property
+    def lpF(self) -> Mapping[GroupId, int]:
+        return self._table(KIND_FORWARD)
+
+    @cached_property
+    def lpB(self) -> Mapping[GroupId, int]:
+        return self._table(KIND_BACKWARD)
+
+    @cached_property
+    def lpR(self) -> Mapping[GroupId, int]:
+        return self._table(KIND_RELATED)
 
     def of(self, kind: str) -> Mapping[GroupId, int]:
         return getattr(self, _LABEL_OF_KIND[kind])
@@ -202,8 +182,7 @@ def compute_labels(graph: GlobalGraph) -> LongTermLabels:
     """
     counts = list(graph.counts.values())
     if not counts:
-        empty = _LabelView(graph.first, [])
-        return LongTermLabels(empty, empty, empty, empty)
+        return LongTermLabels(graph.first, {kind: [] for kind in LONGTERM_KINDS})
     s = [0] * counts[0]
     f = [0] * counts[0]
     r = [0] * counts[0]
@@ -240,12 +219,14 @@ def compute_labels(graph: GlobalGraph) -> LongTermLabels:
         lpB.append(b)
     lpB.reverse()
 
-    first = graph.first
     return LongTermLabels(
-        lpS=_LabelView(first, lpS),
-        lpF=_LabelView(first, lpF),
-        lpB=_LabelView(first, lpB),
-        lpR=_LabelView(first, lpR),
+        graph.first,
+        {
+            KIND_SURVIVING: lpS,
+            KIND_FORWARD: lpF,
+            KIND_BACKWARD: lpB,
+            KIND_RELATED: lpR,
+        },
     )
 
 
@@ -255,13 +236,6 @@ class LongestResult:
     length_edges: int
     length_cps: int
     witness: tuple[GroupId, ...]  # groups of the path, ascending cp
-
-    def __str__(self) -> str:
-        path = " -> ".join(f"{cp}:{o}" for cp, o in self.witness)
-        return (
-            f"{self.kind}: {self.length_cps} control points "
-            f"({self.length_edges} edges) [{path}]"
-        )
 
 
 def _walk(
@@ -304,7 +278,7 @@ def longest(graph: GlobalGraph, labels: LongTermLabels, kind: str) -> LongestRes
     """
     if kind not in _LABEL_OF_KIND:
         raise ValueError(f"unknown long-term kind {kind!r}")
-    levels = labels.of(kind)._levels
+    levels = labels._levels[kind]
     best_i = best_value = -1
     for i, level in enumerate(levels):
         if level:

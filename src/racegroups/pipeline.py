@@ -240,13 +240,7 @@ class RaceAnalysis:
     def anomalies(self) -> list[AnomalyRecord]:
         """Stream irregularities plus pace jumps, one record per
         (athlete, cp, kind)."""
-        seen: set[tuple[int, str, int]] = set()
-        out: list[AnomalyRecord] = []
-        for record in self.engine.anomalies:
-            key = (record.athlete, record.kind, record.cp)
-            if key not in seen:
-                seen.add(key)
-                out.append(record)
+        out = list(self.engine.anomalies)
         course = self.config.course
         if course is not None:
             factor = self.config.pace_factor

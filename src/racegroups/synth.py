@@ -39,6 +39,10 @@ from .longterm import LONGTERM_KINDS, build_global, compute_labels
 from .oracles import oracle_patterns
 from .patterns import KINDS
 
+# how much further back, per control point, each pace band shifts a
+# pack's corridor
+_BAND_DELAY_MS = 3000
+
 
 class InfeasibleScriptError(ValueError):
     """The behavior script cannot produce the groups it promises."""
@@ -132,7 +136,6 @@ class GeneratorConfig:
     seed: int = 0
     # scripts are cycled over packs; None means seeded random scripts
     scripts: tuple[Script, ...] | None = None
-    band_delay_ms: int = 3000
 
     def validate(self) -> None:
         if self.n_cps < 2:
@@ -159,12 +162,13 @@ class GeneratorConfig:
         return self.n_athletes // self.pack_size
 
     def course_points(self) -> list[tuple[int, int]]:
-        """(control point, distance in meters), evenly spaced with the
-        last control point at the finish."""
-        return [
-            (c, self.course_length_m * (c + 1) // self.n_cps)
-            for c in range(self.n_cps)
-        ]
+        return course_points(self.n_cps, self.course_length_m)
+
+
+def course_points(n_cps: int, course_length_m: int) -> list[tuple[int, int]]:
+    """(control point, distance in meters), evenly spaced with the last
+    control point at the finish."""
+    return [(c, course_length_m * (c + 1) // n_cps) for c in range(n_cps)]
 
 
 @dataclass
@@ -328,7 +332,7 @@ def generate(config: GeneratorConfig) -> tuple[list[Event], GroundTruth]:
         band = p * config.n_bands // n_packs
         first_athlete = p * pack_size
         for c, beh in enumerate(script):
-            t = c * cp_step + p * pack_step + c * band * config.band_delay_ms
+            t = c * cp_step + p * pack_step + c * band * _BAND_DELAY_MS
             athlete = first_athlete
             for size in beh.chunk_sizes(pack_size, params.m):
                 for i in range(size):

@@ -11,10 +11,18 @@ from __future__ import annotations
 
 from itertools import accumulate
 
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
 from racegroups.core import Event, Mu, Params
 from racegroups.pipeline import MODE_ONLINE, RaceAnalysis, RunConfig
+
+# `pytest --hypothesis-profile=ci`: every example is still generated and
+# checked, but a failure is reported as found, with a reproduce blob,
+# instead of after a shrink that can run for minutes on a streamed race
+settings.register_profile(
+    "ci", phases=[phase for phase in Phase if phase is not Phase.shrink], print_blob=True
+)
 
 
 @st.composite

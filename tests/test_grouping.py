@@ -128,6 +128,16 @@ class TestAnomalies:
         assert eng.events_rejected == 1
         assert eng.events_accepted == 2
 
+    def test_repeated_rejection_recorded_once(self):
+        eng = GroupingEngine(params())
+        crossing = Event(0, 0, 0)
+        eng.ingest_many([crossing, crossing])
+        eng.ingest_many([crossing])
+        details = "event at t=0 after cp 0 was recorded"
+        assert eng.anomalies == [AnomalyRecord(0, "duplicate-event", 0, details)]
+        assert eng.events_rejected == 2
+        assert eng.events_accepted == 1
+
     def test_skipped_cp_recorded_once(self):
         eng = GroupingEngine(params())
         eng.ingest_many([Event(0, 0, 0), Event(0, 2, 1000)])

@@ -13,7 +13,7 @@ from conftest import (
     run_stream,
     slow_tail_streams,
 )
-from racegroups.core import Mu
+from racegroups.core import Mu, Params
 from racegroups.evolution import PairGraph
 from racegroups.longterm import (
     KIND_BACKWARD,
@@ -28,6 +28,8 @@ from racegroups.longterm import (
     longest_all,
 )
 from racegroups.oracles import oracle_longterm, oracle_walk
+from racegroups.pipeline import RunConfig, run
+from racegroups.synth import GeneratorConfig, generate
 
 MU = Mu(7, 10)
 
@@ -325,3 +327,25 @@ class TestWitnessWalk:
         assert labels.lpF == want["lpF"]
         assert labels.lpB == want["lpB"]
         assert labels.lpR == want["lpR"]
+
+
+class TestBuiltOnRead:
+    def test_pipeline_builds_no_group_id_table(self):
+        # the sweeps and the walk read the pair lists; the group-id
+        # tables cost memory and are built only for a caller that reads
+        params = Params(epsilon=2000, m=7, mu=MU)
+        events, _ = generate(
+            GeneratorConfig(n_athletes=200, n_cps=8, params=params, seed=1)
+        )
+        result = run(events, RunConfig(params=params))
+        graph = result.analysis.global_graph()
+        labels = compute_labels(graph)
+        results = longest_all(graph, labels)
+        assert results[KIND_RELATED].length_edges == 7
+        for table in ("fwd", "bwd"):
+            assert table not in vars(graph)
+        for table in ("lpS", "lpF", "lpB", "lpR"):
+            assert table not in vars(labels)
+            assert table not in vars(result.labels)
+        assert labels.of(KIND_RELATED) is labels.lpR and "lpR" in vars(labels)
+        assert graph.fwd is graph.fwd and "fwd" in vars(graph)
