@@ -204,7 +204,7 @@ def _gids(ids) -> str:
 
 def _emit_meta(out, text, args, result, n_issues) -> None:
     engine = result.analysis.engine
-    n_athletes = len(engine.raw_histories())
+    n_athletes = engine.n_athletes()
     cps = engine.known_cps()
     n_cps = (max(cps) + 1) if cps else 0
     if text:
@@ -316,11 +316,7 @@ def _pace_str(value) -> str:
 def _emit_status(out, text, result, requested) -> None:
     analysis = result.analysis
     if requested is None:
-        ranked = sorted(
-            analysis.engine.raw_histories().items(),
-            key=lambda item: (-(len(item[1][0]) - 1), item[1][1][-1], item[0]),
-        )
-        requested = [athlete for athlete, _ in ranked[:10]]
+        requested = analysis.engine.leaders(10)
     if text:
         out.write("\nathlete status:\n")
     for athlete in requested:

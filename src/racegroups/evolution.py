@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import Mu
-from .grouping import PENDING
+from .grouping import GroupingEngine
 
 
 class EdgeAdded(NamedTuple):
@@ -173,15 +173,16 @@ class GraphStack:
 
     The stack is fed finalization notifications in emission order: a
     group at control point c updates the pair (c-1, c) as a right node
-    (intersections counted from its members' histories) and the pair
-    (c, c+1) as a left node (its tentative edges materialize).  A
-    failed component at c only ever had tentative edges in (c, c+1),
-    which are deleted.
+    and the pair (c, c+1) as a left node (its tentative edges
+    materialize).  As a right node, its members are tallied by their
+    codes at c-1 through GroupingEngine.tally, as the codes stand at
+    that moment.  A failed component at c only ever had tentative edges
+    in (c, c+1), which are deleted.
     """
 
-    def __init__(self, mu: Mu, histories: dict[int, list]) -> None:
+    def __init__(self, mu: Mu, engine: GroupingEngine) -> None:
         self.mu = mu
-        self._histories = histories  # athlete -> [codes, times], shared
+        self._engine = engine
         self.pairs: dict[int, PairGraph] = {}
 
     def pair(self, left_cp: int) -> PairGraph:
@@ -197,16 +198,7 @@ class GraphStack:
         updates: list[tuple[PairGraph, list[EdgeAdded]]] = []
         if cp > 0:
             pair = self.pair(cp - 1)
-            prev = cp - 1
-            counts: dict[int, int] = {}
-            pending = 0
-            histories = self._histories
-            for athlete in group.members:
-                code = histories[athlete][0][prev]
-                if code >= 0:
-                    counts[code] = counts.get(code, 0) + 1
-                elif code == PENDING:
-                    pending += 1
+            counts, pending = self._engine.tally(group, cp - 1)
             updates.append(
                 (pair, pair.add_right(ordinal, group.size, counts, pending))
             )

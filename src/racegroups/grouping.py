@@ -10,10 +10,16 @@ The comparison is non-strict (gap <= epsilon) so that epsilon=0 on
 second-resolution data groups athletes crossing during the same clock
 second.
 
-Per athlete the engine keeps a compact history: one slot per control
-point crossed, holding either the group ordinal at that point or one
-of the sentinel codes below.  Slots are appended in control-point
-order, so lookups are list indexing.
+Race state is held in columns.  Each athlete gets a dense slot on
+first sight; per slot the engine keeps how many control points the
+athlete has passed (crossed or skipped) and the time of their last
+crossing, which decide whether a new crossing is accepted.  Per control
+point one code list and one time list are indexed by slot.  A code is
+the group ordinal at that point or one of the sentinel codes below; a
+crossed point reads PENDING, the column's fill value, until its
+component finishes and writes the ordinal or OUTLIER for every member.
+Only this module knows the layout: the rest of the package reads it
+through the accessors at the end of GroupingEngine.
 
 Everything here is single-writer: one logical ingestion stream.
 Finished groups are immutable and may be read concurrently.
@@ -21,15 +27,17 @@ Finished groups are immutable and may be read concurrently.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from operator import neg
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import Event, Params
 
-# History slot codes (non-negative values are group ordinals).
+# Codes (non-negative values are group ordinals).
 OUTLIER = -1  # crossed, but the component stayed below the group threshold
-PENDING = -2  # crossed, component still active
-ABSENT = -3  # never crossed this control point
+PENDING = -2  # crossed, component still active; the fill of a code column
+ABSENT = -3  # skipped: a later control point was crossed, this one never
 
 GroupId = tuple[int, int]  # (control point index, ordinal within it)
 
@@ -89,18 +97,25 @@ class FinishedComponent(NamedTuple):
 
 
 class GroupingEngine:
-    """Algorithm state for the whole race: components, groups, histories."""
+    """Algorithm state for the whole race: components, groups, columns."""
 
     def __init__(self, params: Params) -> None:
         self.params = params
-        # cp -> [member list, t_first, t_last]; plain lists keep the
-        # per-event work to a few dict/list operations
+        # cp -> [member list, slot list, t_first, t_last]; plain lists
+        # keep the per-event work to a few dict/list operations
         self._active: dict[int, list] = {}
         self.groups: dict[int, list[Group]] = {}
         self.outliers: dict[int, list[int]] = {}
         self.component_counts: dict[int, int] = {}
-        # athlete -> [codes per cp, times per cp]
-        self._athletes: dict[int, list] = {}
+        self._slot_of: dict[int, int] = {}  # athlete -> slot
+        self._athletes: list[int] = []  # slot -> athlete
+        self._passed: list[int] = []  # slot -> last control point passed + 1
+        self._last_time: list[int] = []  # slot -> time of the last crossing
+        self._codes: list[list[int]] = []  # cp -> slot -> code
+        self._times: list[list[int]] = []  # cp -> slot -> crossing time, or -1
+        # the component finished last: its group, or None, and its
+        # members' slots, for tally()
+        self._finished: tuple[Group | None, list[int]] = (None, [])
         # one record per (athlete, kind, cp), however often it recurs
         self.anomalies: list[AnomalyRecord] = []
         self._anomaly_keys: set[tuple[int, str, int]] = set()
@@ -117,9 +132,9 @@ class GroupingEngine:
         on_finish, when given, is invoked synchronously with each
         FinishedComponent at the moment it is decreed finished; it is
         the engine's only report of finished components.  Downstream
-        graph bookkeeping relies on observing athlete histories exactly
-        as they were at that moment, before later events resolve more
-        pending entries.
+        graph bookkeeping relies on observing the codes exactly as they
+        were at that moment, before later events resolve more pending
+        entries.
 
         Raises StreamOrderError if global timestamps ever decrease and
         ValueError on a negative control point; per-athlete
@@ -133,7 +148,12 @@ class GroupingEngine:
             raise StreamOrderError("stream already finalized by the broom wagon")
         eps = self.params.epsilon
         active = self._active
+        slot_of = self._slot_of
         athletes = self._athletes
+        passed = self._passed
+        last_time = self._last_time
+        codes = self._codes
+        times = self._times
         record = self._record_anomaly
         last_stream = self._last_stream_time
         accepted = 0
@@ -146,58 +166,68 @@ class GroupingEngine:
                         f"before stream time {last_stream}"
                     )
                 last_stream = t
-                rec = athletes.get(athlete)
-                if rec is None:
-                    rec = athletes[athlete] = [[], []]
-                codes, times = rec
-                ncrossed = len(codes)
-                if cp < ncrossed:
+                slot = slot_of.get(athlete)
+                if slot is None:
                     if cp < 0:
-                        if not codes:
-                            del athletes[athlete]
-                        raise ValueError(
-                            f"negative control point {cp} for athlete {athlete} "
-                            f"at time {t}"
+                        raise _negative_cp(athlete, cp, t)
+                    slot = slot_of[athlete] = len(athletes)
+                    athletes.append(athlete)
+                    passed.append(0)
+                    last_time.append(t)
+                    for column in codes:
+                        column.append(PENDING)
+                    for column in times:
+                        column.append(-1)
+                    n = 0
+                else:
+                    n = passed[slot]
+                    if cp < n:
+                        if cp < 0:
+                            raise _negative_cp(athlete, cp, t)
+                        kind = (
+                            ANOMALY_ORDER if codes[cp][slot] == ABSENT else ANOMALY_DUPLICATE
                         )
-                    kind = ANOMALY_ORDER if codes[cp] == ABSENT else ANOMALY_DUPLICATE
-                    record(
-                        athlete,
-                        kind,
-                        cp,
-                        f"event at t={t} after cp {ncrossed - 1} was recorded",
-                    )
-                    rejected += 1
-                    continue
-                # the trailing slot is a real crossing: absences are only
-                # backfilled before one
-                if ncrossed and times[-1] >= t:
-                    record(
-                        athlete,
-                        ANOMALY_ORDER,
-                        cp,
-                        f"time {t} does not increase over previous crossing "
-                        f"{times[-1]}",
-                    )
-                    rejected += 1
-                    continue
-                if cp > ncrossed:
-                    for skipped in range(ncrossed, cp):
-                        codes.append(ABSENT)
-                        times.append(-1)
+                        record(
+                            athlete,
+                            kind,
+                            cp,
+                            f"event at t={t} after cp {n - 1} was recorded",
+                        )
+                        rejected += 1
+                        continue
+                    if last_time[slot] >= t:
+                        record(
+                            athlete,
+                            ANOMALY_ORDER,
+                            cp,
+                            f"time {t} does not increase over previous crossing "
+                            f"{last_time[slot]}",
+                        )
+                        rejected += 1
+                        continue
+                    last_time[slot] = t
+                if cp > n:
+                    self._add_columns(cp)
+                    for skipped in range(n, cp):
+                        codes[skipped][slot] = ABSENT
                         record(athlete, ANOMALY_SKIPPED, skipped, "no crossing recorded")
-                codes.append(PENDING)
-                times.append(t)
+                passed[slot] = cp + 1
                 accepted += 1
                 comp = active.get(cp)
-                if comp is None:
-                    active[cp] = [[athlete], t, t]
-                elif t - comp[2] <= eps:
+                if comp is None:  # the first crossing at cp
+                    self._add_columns(cp)
+                    times[cp][slot] = t
+                    active[cp] = [[athlete], [slot], t, t]
+                    continue
+                times[cp][slot] = t
+                if t - comp[3] <= eps:
                     comp[0].append(athlete)
-                    comp[2] = t
+                    comp[1].append(slot)
+                    comp[3] = t
                 else:
                     # the new component is in place before the callback
                     # runs, so a callback that raises leaves a sound state
-                    active[cp] = [[athlete], t, t]
+                    active[cp] = [[athlete], [slot], t, t]
                     finished = self._finish(cp, comp)
                     if on_finish is not None:
                         on_finish(finished)
@@ -205,6 +235,13 @@ class GroupingEngine:
             self._last_stream_time = last_stream
             self.events_accepted += accepted
             self.events_rejected += rejected
+
+    def _add_columns(self, cp: int) -> None:
+        """Columns up to cp exist, each as long as the slot list."""
+        n = len(self._athletes)
+        while len(self._codes) <= cp:
+            self._codes.append([PENDING] * n)
+            self._times.append([-1] * n)
 
     def _record_anomaly(self, athlete: int, kind: str, cp: int, details: str) -> None:
         key = (athlete, kind, cp)
@@ -216,9 +253,9 @@ class GroupingEngine:
         """Broom wagon: finish every remaining active component.
 
         Components are finished in control-point order so that, by the
-        time a group is decreed at cp c, every history entry at c-1 is
-        already resolved.  Each leaves the active set before its
-        callback runs, so none is finished twice.
+        time a group is decreed at cp c, every code at c-1 is already
+        resolved.  Each leaves the active set before its callback runs,
+        so none is finished twice.
         """
         active = self._active
         for cp in sorted(active):
@@ -228,9 +265,9 @@ class GroupingEngine:
         self._finalized = True
 
     def _finish(self, cp: int, comp: list) -> FinishedComponent:
-        member_list, t_first, t_last = comp
+        member_list, slots, t_first, t_last = comp
         members = tuple(member_list)  # shared by the group and the report
-        athletes = self._athletes
+        column = self._codes[cp]
         self.component_counts[cp] = self.component_counts.get(cp, 0) + 1
         if len(members) >= self.params.m:
             bucket = self.groups.get(cp)
@@ -239,27 +276,98 @@ class GroupingEngine:
             ordinal = len(bucket)
             group = Group((cp, ordinal), members, t_first, t_last)
             bucket.append(group)
-            for athlete in members:
-                athletes[athlete][0][cp] = ordinal
+            for slot in slots:
+                column[slot] = ordinal
         else:
             group = None
             bucket = self.outliers.get(cp)
             if bucket is None:
                 bucket = self.outliers[cp] = []
             bucket.extend(members)
-            for athlete in members:
-                athletes[athlete][0][cp] = OUTLIER
+            for slot in slots:
+                column[slot] = OUTLIER
+        self._finished = (group, slots)
         return FinishedComponent(cp, members, group)
 
     # -- read access ---------------------------------------------------
 
-    def raw_histories(self) -> dict[int, list]:
-        """The live athlete -> [codes, times] table.
+    def tally(self, group: Group, cp: int) -> tuple[dict[int, int], int]:
+        """The members of the group finished last by their code at cp,
+        which they all passed: how many belong to each group ordinal
+        there, and how many are still in the active component.  Graph
+        construction calls it from on_finish, while the codes still
+        stand as they did when the group finished."""
+        finished_group, slots = self._finished
+        if finished_group is not group:
+            raise ValueError(f"group {group.id} is not the component finished last")
+        column = self._codes[cp]
+        counts: dict[int, int] = {}
+        pending = 0
+        for slot in slots:
+            code = column[slot]
+            if code >= 0:
+                counts[code] = counts.get(code, 0) + 1
+            elif code == PENDING:
+                pending += 1
+        return counts, pending
 
-        Shared, not copied: graph construction reads codes through this
-        while ingestion is still running.  Callers must not mutate it.
-        """
-        return self._athletes
+    def _slot(self, athlete: int) -> int:
+        slot = self._slot_of.get(athlete)
+        if slot is None:
+            raise KeyError(f"unknown athlete {athlete}")
+        return slot
+
+    def history(self, athlete: int) -> tuple[list[int], list[int]]:
+        """(codes, times) of one athlete, one entry per control point
+        from 0 to their last crossing.  A skipped point has code ABSENT
+        and time -1.  Raises KeyError for an athlete never accepted."""
+        slot = self._slot(athlete)
+        n = self._passed[slot]
+        return (
+            [column[slot] for column in self._codes[:n]],
+            [column[slot] for column in self._times[:n]],
+        )
+
+    def position(self, athlete: int) -> int:
+        """1 + the athletes ahead: past a later control point, or past
+        the same one at an earlier time."""
+        slot = self._slot(athlete)
+        n, t = self._passed[slot], self._last_time[slot]
+        ahead = 0
+        for other_n, other_t in zip(self._passed, self._last_time):
+            if other_n > n or (other_n == n and other_t < t):
+                ahead += 1
+        return ahead + 1
+
+    def leaders(self, k: int) -> list[int]:
+        """The k athletes furthest along: the latest control point
+        first, then the earliest last crossing there, then the lowest
+        athlete id."""
+        ranked = heapq.nsmallest(
+            k, zip(map(neg, self._passed), self._last_time, self._athletes)
+        )
+        return [athlete for _, _, athlete in ranked]
+
+    def n_athletes(self) -> int:
+        """How many athletes have an accepted crossing."""
+        return len(self._athletes)
+
+    def crossing_times(
+        self, cps: Sequence[int]
+    ) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+        """(athlete, [(cp, time), ...]) per athlete, in the order the
+        athletes were first seen: the crossings at the non-negative
+        control points cps, in their order, that the athlete made; a
+        skipped or unreached point is left out.  Consecutive athletes
+        read neighbouring entries of each column."""
+        codes, times = self._codes, self._times
+        columns = [(cp, codes[cp], times[cp]) for cp in cps if 0 <= cp < len(codes)]
+        for slot, (athlete, n) in enumerate(zip(self._athletes, self._passed)):
+            yield athlete, [
+                (cp, time_column[slot])
+                for cp, code_column, time_column in columns
+                if cp < n and code_column[slot] != ABSENT
+            ]
 
     def groups_at(self, cp: int) -> list[Group]:
         if cp < 0:
@@ -295,3 +403,7 @@ class GroupingEngine:
     def known_cps(self) -> list[int]:
         cps = set(self.groups) | set(self.outliers) | set(self._active)
         return sorted(cps)
+
+
+def _negative_cp(athlete: int, cp: int, t: int) -> ValueError:
+    return ValueError(f"negative control point {cp} for athlete {athlete} at time {t}")

@@ -243,7 +243,8 @@ def read_course(path: str) -> dict[int, int]:
 
     Line 1 is a header when its first cell is not an integer in any
     digits, so a malformed number there is an error, not a header.
-    Distances must be strictly increasing with the index.
+    Indices are non-negative, and distances must be strictly increasing
+    with the index.
     """
     course: dict[int, int] = {}
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -256,6 +257,8 @@ def read_course(path: str) -> dict[int, int]:
                 if lineno == 1 and not _is_int(row[0]):
                     continue
                 raise ValueError(f"{path}: line {lineno}: expected `index,meters`")
+            if cp < 0:
+                raise ValueError(f"{path}: line {lineno}: negative control point {cp}")
             if cp in course:
                 raise ValueError(f"{path}: duplicate control point {cp}")
             course[cp] = meters

@@ -9,10 +9,11 @@ tested instance.
 from __future__ import annotations
 
 from collections import defaultdict
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .core import Event, Mu, Params, strongly_related, weakly_related
-from .grouping import GroupId
+from .grouping import ABSENT, OUTLIER, PENDING, GroupId
 from .longterm import KIND_BACKWARD, KIND_FORWARD, KIND_SURVIVING, GlobalGraph
 from .patterns import (
     APPEARS,
@@ -419,3 +420,102 @@ def oracle_walk(
     if kind != KIND_BACKWARD:
         path.reverse()
     return path
+
+
+def oracle_histories(
+    events: Iterable[Event], params: Params, finalized: bool
+) -> dict[int, tuple[list[int], list[int]]]:
+    """Each athlete's (codes, times), one entry per control point up to
+    their last crossing, rebuilt from the definitions.
+
+    An event is accepted iff the athlete has none yet, or its control
+    point is past their last accepted one and its time later.  A point
+    passed over reads ABSENT with time -1.  Per control point the
+    accepted crossings, sorted by time (stable), split wherever a gap
+    exceeds epsilon; every run but the last has finished, and the last
+    too once finalized.  A finished run of at least m athletes is the
+    next group ordinal there, a shorter one makes its members OUTLIER,
+    and the run still open reads PENDING.
+    """
+    last: dict[int, tuple[int, int]] = {}  # athlete -> (cp, time) accepted
+    crossings: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for athlete, cp, t in events:
+        prev = last.get(athlete)
+        if prev is None or (cp > prev[0] and t > prev[1]):
+            last[athlete] = (cp, t)
+            crossings[cp].append((t, athlete))
+    code_of: dict[tuple[int, int], int] = {}
+    time_of: dict[tuple[int, int], int] = {}
+    for cp, at_cp in crossings.items():
+        at_cp.sort(key=lambda ta: ta[0])
+        runs: list[list[tuple[int, int]]] = []
+        for t, athlete in at_cp:
+            if not runs or t - runs[-1][-1][0] > params.epsilon:
+                runs.append([])
+            runs[-1].append((t, athlete))
+        ordinal = 0
+        for i, run in enumerate(runs):
+            if i == len(runs) - 1 and not finalized:
+                code = PENDING
+            elif len(run) >= params.m:
+                code, ordinal = ordinal, ordinal + 1
+            else:
+                code = OUTLIER
+            for t, athlete in run:
+                code_of[athlete, cp] = code
+                time_of[athlete, cp] = t
+    return {
+        athlete: (
+            [code_of.get((athlete, cp), ABSENT) for cp in range(last_cp + 1)],
+            [time_of.get((athlete, cp), -1) for cp in range(last_cp + 1)],
+        )
+        for athlete, (last_cp, _) in last.items()
+    }
+
+
+def oracle_position(
+    histories: Mapping[int, tuple[list[int], list[int]]], athlete: int
+) -> int:
+    """1 + every other athlete whose last crossing is at a later
+    control point, or at the same one at an earlier time: a scan of
+    every history."""
+    codes, times = histories[athlete]
+    last_cp, last_time = len(codes) - 1, times[-1]
+    position = 1
+    for other, (other_codes, other_times) in histories.items():
+        if other == athlete:
+            continue
+        cp = len(other_codes) - 1
+        if cp > last_cp or (cp == last_cp and other_times[-1] < last_time):
+            position += 1
+    return position
+
+
+def oracle_pace_jumps(
+    histories: Mapping[int, tuple[list[int], list[int]]],
+    course: Mapping[int, int],
+    factor: Fraction,
+) -> list[tuple[int, int]]:
+    """(athlete, cp) of every pace jump, by athlete and then control
+    point.  Along the course points an athlete crossed, a segment after
+    the first two is a jump when its pace, as an exact Fraction of
+    milliseconds per meter, is over factor times the average pace from
+    the first point to the segment's start, or under that average
+    divided by factor."""
+    jumps = []
+    for athlete in sorted(histories):
+        codes, times = histories[athlete]
+        series = [
+            (cp, times[cp], meters)
+            for cp, meters in sorted(course.items())
+            if cp < len(codes) and codes[cp] != ABSENT
+        ]
+        if len(series) < 3:
+            continue
+        _, t0, d0 = series[0]
+        for (_, t_prev, d_prev), (cp, t, d) in zip(series[1:], series[2:]):
+            segment = Fraction(t - t_prev, d - d_prev)
+            average = Fraction(t_prev - t0, d_prev - d0)
+            if segment > factor * average or segment * factor < average:
+                jumps.append((athlete, cp))
+    return jumps

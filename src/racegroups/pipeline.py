@@ -5,7 +5,7 @@ sweep the long-term labels, and answer questions about the result.
 The analysis object wires the layers the only way that is sound: the
 engine invokes a callback at the exact moment a component is decreed
 finished, and that callback feeds the graph stack (and, online, the
-pattern tracker) while athlete histories still show the state of that
+pattern tracker) while the engine's codes still show the state of that
 moment.
 """
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 import time as _time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .core import Params
 from .evolution import GraphStack, PairGraph
@@ -67,6 +68,9 @@ class RunConfig:
             raise ValueError("pace factor must exceed 1")
         object.__setattr__(self, "pace_factor", factor)
         if self.course is not None:
+            for cp in self.course:
+                if cp < 0:
+                    raise ValueError(f"course control point {cp} is negative")
             meters = [m for _, m in sorted(self.course.items())]
             if any(b <= a for a, b in zip(meters, meters[1:])):
                 raise ValueError("course distances must increase with the index")
@@ -117,7 +121,7 @@ class RaceAnalysis:
     def __init__(self, config: RunConfig) -> None:
         self.config = config
         self.engine = GroupingEngine(config.params)
-        self.stack = GraphStack(config.params.mu, self.engine.raw_histories())
+        self.stack = GraphStack(config.params.mu, self.engine)
         self.tracker = PatternTracker() if config.mode == MODE_ONLINE else None
         self._sealed_sets: dict[int, PatternSet] | None = None
 
@@ -195,67 +199,52 @@ class RaceAnalysis:
 
     # -- athlete-facing reports ----------------------------------------
 
-    def _progress(self, athlete: int) -> tuple[int, int]:
-        rec = self.engine.raw_histories().get(athlete)
-        if rec is None:
-            raise KeyError(f"unknown athlete {athlete}")
-        codes, times = rec
-        # the trailing slot is always a real crossing: absences are only
-        # backfilled when a later crossing arrives
-        return len(codes) - 1, times[-1]
-
     def athlete_status(self, athlete: int) -> AthleteStatus:
-        last_cp, last_time = self._progress(athlete)
-        position = 1
-        for other, rec in self.engine.raw_histories().items():
-            if other == athlete:
-                continue
-            cp = len(rec[0]) - 1
-            if cp > last_cp or (cp == last_cp and rec[1][-1] < last_time):
-                position += 1
-        record = self.engine.raw_histories()[athlete]
+        engine = self.engine
+        codes, times = engine.history(athlete)
         segment_pace = average_pace = None
         course = self.config.course
         if course is not None:
-            span = _course_series(record, sorted(course.items()))
+            span = [
+                (cp, times[cp])
+                for cp in sorted(course)
+                if cp < len(codes) and codes[cp] != ABSENT
+            ]
             if len(span) >= 2:
-                (_, t0, d0), (_, t_prev, d_prev), (_, t_last, d_last) = (
-                    span[0],
-                    span[-2],
-                    span[-1],
-                )
-                average_pace = _pace(t_last - t0, d_last - d0)
-                segment_pace = _pace(t_last - t_prev, d_last - d_prev)
-        history = tuple(_history_token(cp, code) for cp, code in enumerate(record[0]))
+                (c0, t0), (c_prev, t_prev), (c_last, t_last) = span[0], span[-2], span[-1]
+                average_pace = _pace(t_last - t0, course[c_last] - course[c0])
+                segment_pace = _pace(t_last - t_prev, course[c_last] - course[c_prev])
         return AthleteStatus(
             athlete=athlete,
-            last_cp=last_cp,
-            last_time=last_time,
-            position=position,
+            # the trailing entry is always a real crossing: absences
+            # are only backfilled when a later crossing arrives
+            last_cp=len(codes) - 1,
+            last_time=times[-1],
+            position=engine.position(athlete),
             segment_pace=segment_pace,
             average_pace=average_pace,
-            history=history,
+            history=tuple(_history_token(cp, code) for cp, code in enumerate(codes)),
         )
 
     def anomalies(self) -> list[AnomalyRecord]:
         """Stream irregularities plus pace jumps, one record per
-        (athlete, cp, kind)."""
+        (athlete, cp, kind); the pace jumps come last, by athlete id
+        and then control point."""
         out = list(self.engine.anomalies)
         course = self.config.course
         if course is not None:
+            jumps: list[AnomalyRecord] = []
             factor = self.config.pace_factor
             p, q = factor.numerator, factor.denominator
-            points = sorted(course.items())
-            histories = self.engine.raw_histories()
-            for athlete in sorted(histories):
-                series = _course_series(histories[athlete], points)
+            for athlete, series in self.engine.crossing_times(sorted(course)):
                 if len(series) < 3:
                     continue  # the first segment has no history to average
-                _, t0, d0 = series[0]
-                _, t_prev, d_prev = series[1]
-                # a pace key is new here: cps increase along a history
+                (c0, t0), (c_prev, t_prev) = series[0], series[1]
+                d0, d_prev = course[c0], course[c_prev]
+                # a pace key is new here: cps increase along a series
                 # and the engine records no pace jumps
-                for c_cur, t_cur, d_cur in series[2:]:
+                for c_cur, t_cur in series[2:]:
+                    d_cur = course[c_cur]
                     # this segment's pace dt/dd against the running average
                     # dt_avg/dd_avg over everything before it, times p/q,
                     # cross-multiplied: distances increase, so dd > 0
@@ -264,7 +253,7 @@ class RaceAnalysis:
                     if q * seg_x > p * avg_x or p * seg_x < q * avg_x:
                         seg = _pace(t_cur - t_prev, d_cur - d_prev)
                         avg = _pace(t_prev - t0, d_prev - d0)
-                        out.append(
+                        jumps.append(
                             AnomalyRecord(
                                 athlete,
                                 ANOMALY_PACE,
@@ -274,19 +263,10 @@ class RaceAnalysis:
                             )
                         )
                     t_prev, d_prev = t_cur, d_cur
+            # a stable sort: each athlete's jumps are already in cp order
+            jumps.sort(key=attrgetter("athlete"))
+            out.extend(jumps)
         return out
-
-
-def _course_series(rec: list, points: list[tuple[int, int]]) -> list[tuple]:
-    """(cp, time, meters) of each course point, given as sorted
-    (cp, meters) pairs, that the athlete with history rec crossed."""
-    codes, times = rec
-    n_cps = len(codes)
-    return [
-        (cp, times[cp], meters)
-        for cp, meters in points
-        if cp < n_cps and codes[cp] != ABSENT
-    ]
 
 
 def _pace(delta_ms: int, delta_m: int) -> float:

@@ -54,7 +54,7 @@ def _random_instance(seed: int):
 
 def _run_stack(events, params):
     engine = GroupingEngine(params)
-    stack = GraphStack(params.mu, engine.raw_histories())
+    stack = GraphStack(params.mu, engine)
 
     def dispatch(finished):
         if finished.group is not None:

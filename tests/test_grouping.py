@@ -45,9 +45,8 @@ class TestIngest:
         assert outs[0].group is None
         assert eng.groups_at(0) == []
         assert sorted(eng.outliers_at(0)) == [0, 1, 2, 3, 4, 5]
-        histories = eng.raw_histories()
         for a in range(6):
-            assert histories[a][0] == [OUTLIER]
+            assert eng.history(a)[0] == [OUTLIER]
 
     def test_epsilon_zero_groups_same_clock_second(self):
         # second-resolution input: crossings within the same clock second
@@ -77,7 +76,9 @@ class TestIngest:
         # an athlete never seen: no history is left behind
         with pytest.raises(ValueError, match=r"-1 for athlete 1 at time 5"):
             eng.ingest_many([Event(1, -1, 5)])
-        assert eng.raw_histories() == {}
+        assert eng.n_athletes() == 0
+        with pytest.raises(KeyError):
+            eng.history(1)
         # an athlete seen once: neither misfiled as a duplicate crossing
         # nor counted, and the events before it in the batch are kept
         eng.ingest_many([Event(1, 0, 7)])
@@ -85,9 +86,8 @@ class TestIngest:
             eng.ingest_many([Event(2, 0, 8), Event(1, -1, 9)])
         assert eng.anomalies == []
         assert (eng.events_accepted, eng.events_rejected) == (2, 0)
-        histories = eng.raw_histories()
-        assert histories[1] == [[PENDING], [7]]
-        assert histories[2] == [[PENDING], [8]]
+        assert eng.history(1) == ([PENDING], [7])
+        assert eng.history(2) == ([PENDING], [8])
         eng.ingest_many([Event(3, 0, 10)])
         eng.finalize_all()
         assert [g.members for g in eng.groups_at(0)] == [(1, 2, 3)]
@@ -144,20 +144,20 @@ class TestAnomalies:
         assert eng.anomalies == [
             AnomalyRecord(0, "skipped-cp", 1, "no crossing recorded")
         ]
-        assert eng.raw_histories()[0][0][1] == ABSENT
+        assert eng.history(0)[0][1] == ABSENT
 
     def test_backfilling_a_skipped_cp_is_an_order_violation(self):
         eng = GroupingEngine(params())
         eng.ingest_many([Event(0, 0, 0), Event(0, 2, 1000), Event(0, 1, 2000)])
         kinds = [(a.kind, a.cp) for a in eng.anomalies]
         assert ("order-violation", 1) in kinds
-        assert eng.raw_histories()[0][0][1] == ABSENT  # rejected, slot untouched
+        assert eng.history(0)[0][1] == ABSENT  # rejected, entry untouched
 
     def test_non_increasing_athlete_time_rejected(self):
         eng = GroupingEngine(params())
         eng.ingest_many([Event(0, 0, 1000), Event(1, 0, 1000), Event(0, 1, 1000)])
         assert [a.kind for a in eng.anomalies] == ["order-violation"]
-        assert eng.raw_histories()[0][0] == [PENDING]  # cp 1 never recorded
+        assert eng.history(0)[0] == [PENDING]  # cp 1 never recorded
 
     def test_rejected_events_do_not_touch_components(self):
         eng = GroupingEngine(params(epsilon=1000, m=2))
@@ -179,24 +179,24 @@ class TestHistories:
         ]
         eng.ingest_many(events)
         eng.finalize_all()
-        assert eng.raw_histories()[2][0] == [0, OUTLIER, 0]
+        assert eng.history(2)[0] == [0, OUTLIER, 0]
 
     def test_pending_while_component_active(self):
         eng = GroupingEngine(params())
         eng.ingest_many([Event(7, 0, 0)])
-        # one slot: cp 1 is not crossed yet
-        assert eng.raw_histories()[7][0] == [PENDING]
+        # one entry: cp 1 is not crossed yet
+        assert eng.history(7)[0] == [PENDING]
 
     def test_absent_for_skipped(self):
         eng = GroupingEngine(params())
         eng.ingest_many([Event(0, 0, 0), Event(0, 2, 1000)])
-        assert eng.raw_histories()[0][0] == [PENDING, ABSENT, PENDING]
+        assert eng.history(0)[0] == [PENDING, ABSENT, PENDING]
 
     def test_unknown_athlete(self):
         eng = GroupingEngine(params())
         eng.ingest_many([Event(0, 0, 0)])
         with pytest.raises(KeyError):
-            eng.raw_histories()[99]
+            eng.history(99)
 
 
 class TestFinalizeAll:
@@ -254,6 +254,30 @@ class TestAccessors:
         eng.ingest_many([Event(0, 0, 0), Event(1, 0, 100), Event(2, 0, 5000)])
         assert eng.n_components_at(0) == 2
         assert eng.n_crossed_at(0) == 3
+
+    def test_tally_reads_only_the_component_finished_last(self):
+        eng = GroupingEngine(params(epsilon=1000, m=2))
+        tallies = []
+
+        def on_finish(finished):
+            if finished.group is not None and finished.cp == 1:
+                tallies.append(eng.tally(finished.group, 0))
+
+        eng.ingest_many(
+            [
+                Event(0, 0, 0),
+                Event(1, 0, 100),
+                Event(0, 1, 5000),
+                Event(1, 1, 5100),
+                Event(2, 0, 9000),  # finishes group 0.0
+                Event(2, 1, 20000),  # finishes group 1.0
+            ],
+            on_finish=on_finish,
+        )
+        assert tallies == [({0: 2}, 0)]
+        eng.finalize_all()  # athlete 2 is an outlier at both points
+        with pytest.raises(ValueError, match="finished last"):
+            eng.tally(eng.groups_at(1)[0], 0)
 
     def test_group_count_bounded_by_n_over_m(self):
         eng = GroupingEngine(params(epsilon=0, m=2))
@@ -326,7 +350,7 @@ def test_partition_and_gap_law(raw, eps, m):
         assert len(in_groups) == len(set(in_groups))  # no double membership
         assert set(in_groups) | set(eng.outliers_at(cp)) == everyone
         for g in eng.groups_at(cp):
-            times = sorted(eng.raw_histories()[a][1][cp] for a in g.members)
+            times = sorted(eng.history(a)[1][cp] for a in g.members)
             assert all(b - a <= eps for a, b in zip(times, times[1:]))
         # consecutive groups are separated by more than epsilon
         gs = eng.groups_at(cp)

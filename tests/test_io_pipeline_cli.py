@@ -513,6 +513,12 @@ class TestCourse:
         with pytest.raises(ValueError):
             read_course(str(path))
 
+    def test_negative_control_point_rejected(self, tmp_path):
+        path = tmp_path / "course.csv"
+        path.write_text("index,meters\n0,100\n-1,0\n1,1100\n")
+        with pytest.raises(ValueError, match="line 3: negative control point -1"):
+            read_course(str(path))
+
 
 class TestGroundTruthFile:
     def test_round_trip(self, tmp_path):
@@ -615,6 +621,14 @@ class TestPipeline:
         assert s1.segment_pace == pytest.approx(1000 / 60000, rel=1e-9)
         with pytest.raises(KeyError):
             result.analysis.athlete_status(99)
+
+    def test_negative_course_point_rejected(self):
+        # a course point at cp -1 was once read as the athlete's last
+        # control point and gave pace jumps against negative averages
+        params = Params(2000, 1, Mu(7, 10))
+        course = {-1: 0, 0: 100, 1: 1100, 2: 2100, 3: 3100}
+        with pytest.raises(ValueError, match="course control point -1"):
+            RunConfig(params=params, course=course)
 
     def test_status_pace_none_without_course(self):
         events, _ = scripted_events()
@@ -955,6 +969,14 @@ class TestCli:
         ]
         rc, _, err = run_cli(args + ["--pace-factor", "1/1"])
         assert rc == 1 and "exceed 1" in err
+
+    def test_negative_course_point_exits_1(self, race_file, tmp_path):
+        path, _ = race_file
+        course = tmp_path / "course.csv"
+        course.write_text("index,meters\n-1,0\n0,100\n1,1100\n")
+        rc, out, err = run_cli(["--input", path, "--course", str(course)])
+        assert rc == 1 and out == ""
+        assert "line 2: negative control point -1" in err
 
     def test_closed_stdout_pipe_is_quiet(self, race_file):
         # racegroups ... | head must not spray BrokenPipeError noise;
