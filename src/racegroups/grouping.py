@@ -18,8 +18,12 @@ point one code list and one time list are indexed by slot.  A code is
 the group ordinal at that point or one of the sentinel codes below; a
 crossed point reads PENDING, the column's fill value, until its
 component finishes and writes the ordinal or OUTLIER for every member.
-Only this module knows the layout: the rest of the package reads it
-through the accessors at the end of GroupingEngine.
+Every column is as long as the slot capacity, which grows by an eighth
+(at least one block of slots) when a new athlete finds it full, so a
+new athlete costs no per-column work; the spare slots past the last
+athlete's are never read.  Only this module knows the layout: the rest
+of the package reads it through the accessors at the end of
+GroupingEngine.
 
 Everything here is single-writer: one logical ingestion stream.
 Finished groups are immutable and may be read concurrently.
@@ -38,6 +42,8 @@ from .core import Event, Params
 OUTLIER = -1  # crossed, but the component stayed below the group threshold
 PENDING = -2  # crossed, component still active; the fill of a code column
 ABSENT = -3  # skipped: a later control point was crossed, this one never
+
+_SLOT_BLOCK = 512  # the least growth of the columns' slot capacity
 
 GroupId = tuple[int, int]  # (control point index, ordinal within it)
 
@@ -59,8 +65,7 @@ class StreamOrderError(ValueError):
     """Raised when the input stream itself violates global time order."""
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(NamedTuple):
     """A finished component with at least m members."""
 
     id: GroupId
@@ -111,6 +116,7 @@ class GroupingEngine:
         self._athletes: list[int] = []  # slot -> athlete
         self._passed: list[int] = []  # slot -> last control point passed + 1
         self._last_time: list[int] = []  # slot -> time of the last crossing
+        self._capacity = 0  # the length of every column
         self._codes: list[list[int]] = []  # cp -> slot -> code
         self._times: list[list[int]] = []  # cp -> slot -> crossing time, or -1
         # the component finished last: its group, or None, and its
@@ -171,13 +177,11 @@ class GroupingEngine:
                     if cp < 0:
                         raise _negative_cp(athlete, cp, t)
                     slot = slot_of[athlete] = len(athletes)
+                    if slot == self._capacity:
+                        self._grow()
                     athletes.append(athlete)
                     passed.append(0)
                     last_time.append(t)
-                    for column in codes:
-                        column.append(PENDING)
-                    for column in times:
-                        column.append(-1)
                     n = 0
                 else:
                     n = passed[slot]
@@ -237,11 +241,23 @@ class GroupingEngine:
             self.events_rejected += rejected
 
     def _add_columns(self, cp: int) -> None:
-        """Columns up to cp exist, each as long as the slot list."""
-        n = len(self._athletes)
+        """Columns up to cp exist, each as long as the slot capacity."""
+        n = self._capacity
         while len(self._codes) <= cp:
             self._codes.append([PENDING] * n)
             self._times.append([-1] * n)
+
+    def _grow(self) -> None:
+        """Lengthen every column by an eighth of the slot capacity, at
+        least one block, filled as a new column would be."""
+        extra = max(_SLOT_BLOCK, self._capacity >> 3)
+        self._capacity += extra
+        code_fill = [PENDING] * extra
+        time_fill = [-1] * extra
+        for column in self._codes:
+            column.extend(code_fill)
+        for column in self._times:
+            column.extend(time_fill)
 
     def _record_anomaly(self, athlete: int, kind: str, cp: int, details: str) -> None:
         key = (athlete, kind, cp)

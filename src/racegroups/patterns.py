@@ -40,7 +40,7 @@ a group that is not named by exactly one record is flagged:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .evolution import EdgeAdded, PairGraph
 from .grouping import Group, GroupId
@@ -73,8 +73,7 @@ FLAG_DOUBLE_SOURCE = "doubly-owned-source"
 FLAG_DOUBLE_TARGET = "doubly-owned-target"
 
 
-@dataclass(frozen=True)
-class PatternRecord:
+class PatternRecord(NamedTuple):
     kind: str
     pair: tuple[int, int]  # (x, x')
     source: GroupId | None = None

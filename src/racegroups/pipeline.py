@@ -184,14 +184,15 @@ class RaceAnalysis:
         engine = self.engine
         stats = []
         for cp in engine.known_cps():
-            groups = engine.groups_at(cp)
+            # read in place: groups_at and outliers_at return copies
+            sizes = [len(g.members) for g in engine.groups.get(cp, ())]
             stats.append(
                 GroupStats(
                     cp=cp,
                     n_components=engine.n_components_at(cp),
-                    n_groups=len(groups),
-                    n_outliers=len(engine.outliers_at(cp)),
-                    largest_group=max((g.size for g in groups), default=0),
+                    n_groups=len(sizes),
+                    n_outliers=len(engine.outliers.get(cp, ())),
+                    largest_group=max(sizes, default=0),
                     crossed=engine.n_crossed_at(cp),
                 )
             )

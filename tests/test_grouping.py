@@ -1,19 +1,26 @@
 """Streaming engine: components, groups, histories, anomaly handling."""
 
+import random
+from collections import defaultdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racegroups.core import Event, Mu, Params
+from racegroups.evolution import PairGraph
 from racegroups.grouping import (
+    _SLOT_BLOCK,
     ABSENT,
     OUTLIER,
     PENDING,
     AnomalyRecord,
+    Group,
     GroupingEngine,
     StreamOrderError,
 )
-from racegroups.oracles import oracle_groups
+from racegroups.oracles import oracle_groups, oracle_histories, oracle_position
+from racegroups.pipeline import RaceAnalysis, RunConfig
 
 
 def params(epsilon=2000, m=3, mu=Mu(7, 10)):
@@ -285,6 +292,128 @@ class TestAccessors:
         eng.ingest_many(events)
         eng.finalize_all()
         assert len(eng.groups_at(0)) <= 10 // 2
+
+
+class TestGroupValue:
+    def test_repr_and_derived_fields(self):
+        group = Group((3, 1), (7, 2, 9), 1000, 2500)
+        # the benchmark's output digest hashes reprs like this one
+        assert repr(group) == (
+            "Group(id=(3, 1), members=(7, 2, 9), t_first=1000, t_last=2500)"
+        )
+        assert (group.cp, group.ordinal, group.size) == (3, 1, 3)
+        assert group.member_set() == frozenset({2, 7, 9})
+        assert group == Group((3, 1), (7, 2, 9), 1000, 2500)
+        assert group != Group((3, 1), (7, 2, 9), 1000, 2600)
+
+
+# -- spare column capacity against the per-athlete rebuild --------------
+
+
+def _late_field():
+    """A field of 1,100 athletes, past the columns' first two capacity
+    blocks.  The first half crosses cps 0-7 from t=0; the second half is
+    first seen at t=3,000,000 ms, when the first has passed cps 0-5, some
+    of it first at cp 3, so its slots grow the columns.  A fifth of the
+    second half then skips cp 8 and crosses cp 9: both columns are first
+    made after the last growth.  Every athlete skips about one cp in
+    twenty."""
+    rng = random.Random(12)
+    n = 1100
+    events = []
+    for athlete in range(n):
+        late = athlete >= n // 2
+        start = 3_000_000 if late else 0
+        first_cp = rng.choice((0, 0, 0, 3)) if late else 0
+        last_cp = 9 if late and athlete % 5 == 0 else 7
+        offset = start + rng.randrange(400_000)
+        for cp in range(first_cp, last_cp + 1):
+            if cp == 8 or (cp > first_cp and rng.random() < 0.05):
+                continue
+            events.append(Event(athlete, cp, offset + cp * 500_000 + rng.randrange(3000)))
+    events.sort(key=lambda e: e.time)
+    return events
+
+
+def _expected_pairs(histories, mu):
+    """Per left cp, the pair graph of the finished groups in the
+    histories and the tentative weight of each right group toward the
+    active component at the left cp: its members still pending there."""
+    members = defaultdict(lambda: defaultdict(set))  # cp -> ordinal -> set
+    pending = defaultdict(set)
+    for athlete, (codes, _) in histories.items():
+        for cp, code in enumerate(codes):
+            if code >= 0:
+                members[cp][code].add(athlete)
+            elif code == PENDING:
+                pending[cp].add(athlete)
+    lefts = set(members) | {cp - 1 for cp in members if cp > 0}
+    expected = {}
+    for cp in lefts:
+        left = [members[cp][o] for o in range(len(members[cp]))]
+        right = [members[cp + 1][r] for r in range(len(members[cp + 1]))]
+        tentative = {r: len(s & pending[cp]) for r, s in enumerate(right)}
+        expected[cp] = (
+            PairGraph.from_memberships(cp, left, right, mu),
+            {r: w for r, w in tentative.items() if w},
+        )
+    return expected
+
+
+def _check_readers(analysis, fed, finalized):
+    engine = analysis.engine
+    histories = oracle_histories(fed, analysis.config.params, finalized)
+    assert engine.n_athletes() == len(histories)
+    for athlete, history in histories.items():
+        assert engine.history(athlete) == history
+    # a sample: each position call scans the whole field
+    for athlete in list(histories)[::23] + list(histories)[-5:]:
+        assert engine.position(athlete) == oracle_position(histories, athlete)
+    ranked = sorted(
+        histories,
+        key=lambda a: (-(len(histories[a][0]) - 1), histories[a][1][-1], a),
+    )
+    assert engine.leaders(10) == ranked[:10]
+    cps = range(11)
+    assert list(engine.crossing_times(cps)) == [
+        (
+            athlete,
+            [
+                (cp, times[cp])
+                for cp in cps
+                if cp < len(codes) and codes[cp] != ABSENT
+            ],
+        )
+        for athlete, (codes, times) in histories.items()
+    ]
+    mu = analysis.config.params.mu
+    expected = _expected_pairs(histories, mu)
+    for cp in set(expected) | set(analysis.stack.pairs):
+        got = analysis.stack.pairs.get(cp) or PairGraph(cp, mu)
+        want, tentative = expected.get(cp) or (PairGraph(cp, mu), {})
+        assert (got.left_sizes, got.right_sizes) == (want.left_sizes, want.right_sizes)
+        assert (got.fwd, got.bwd) == (want.fwd, want.bwd)
+        for ins in ("fwd_in", "bwd_in"):
+            assert {k: sorted(v) for k, v in getattr(got, ins).items()} == {
+                k: sorted(v) for k, v in getattr(want, ins).items()
+            }
+        assert got.tentative == tentative
+
+
+def test_spare_column_capacity_stays_invisible():
+    events = _late_field()
+    analysis = RaceAnalysis(RunConfig(Params(epsilon=2000, m=3, mu=Mu(7, 10))))
+    cuts = sorted(random.Random(5).sample(range(1, len(events)), 8))
+    start = 0
+    for cut in cuts + [len(events)]:
+        analysis.ingest(events[start:cut])
+        start = cut
+        _check_readers(analysis, events[:cut], finalized=False)
+    analysis.finalize()
+    _check_readers(analysis, events, finalized=True)
+    # the field outgrew the first blocks, and cps 8 and 9 were made after
+    assert analysis.engine.n_athletes() > 2 * _SLOT_BLOCK
+    assert analysis.engine.history(events[-1].athlete)[0][8] == ABSENT
 
 
 # -- randomized equivalence with the brute-force oracle ---------------

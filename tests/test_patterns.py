@@ -65,6 +65,61 @@ def kinds_of(pattern_set):
     return sorted(rec.kind for rec in pattern_set.records)
 
 
+class TestRecordValues:
+    """Records are compared, hashed, sorted and printed by value; the
+    benchmark's output digest hashes their repr."""
+
+    def test_repr_names_every_field(self):
+        rec = PatternRecord(
+            SURVIVES,
+            (1, 2),
+            source=(1, 0),
+            target=(2, 0),
+            sources=((1, 3),),
+            targets=((2, 4),),
+            absorbed=((1, 1),),
+            spawned=((2, 3), (2, 5)),
+        )
+        assert repr(rec) == (
+            "PatternRecord(kind='survives', pair=(1, 2), source=(1, 0), "
+            "target=(2, 0), sources=((1, 3),), targets=((2, 4),), "
+            "absorbed=((1, 1),), spawned=((2, 3), (2, 5)))"
+        )
+        assert repr(PatternRecord(APPEARS, (0, 1), target=(1, 0))) == (
+            "PatternRecord(kind='appears', pair=(0, 1), source=None, "
+            "target=(1, 0), sources=(), targets=(), absorbed=(), spawned=())"
+        )
+
+    def test_records_differing_only_in_spawned_are_distinct(self):
+        one = PatternRecord(
+            SURVIVES, (1, 2), source=(1, 0), target=(2, 0), spawned=((2, 3),)
+        )
+        two = PatternRecord(
+            SURVIVES, (1, 2), source=(1, 0), target=(2, 0), spawned=((2, 3), (2, 4))
+        )
+        assert one != two
+        assert len({one, two}) == 2
+        assert one == PatternRecord(
+            SURVIVES, (1, 2), source=(1, 0), target=(2, 0), spawned=((2, 3),)
+        )
+
+    def test_sort_order(self):
+        # by pair, then kind in KINDS order, then source(s), then target(s)
+        recs = [
+            PatternRecord(SPLITS, (1, 2), source=(1, 5), targets=((2, 6), (2, 7))),
+            PatternRecord(APPEARS, (1, 2), target=(2, 5)),
+            PatternRecord(SURVIVES, (1, 2), source=(1, 0), target=(2, 0)),
+            PatternRecord(DISAPPEARS, (1, 2), source=(1, 4)),
+            PatternRecord(MERGES, (1, 2), sources=((1, 2), (1, 3)), target=(2, 1)),
+            PatternRecord(EXPANDS, (0, 1), source=(0, 0), target=(1, 0)),
+            PatternRecord(APPEARS, (1, 2), target=(2, 2)),
+            PatternRecord(DISAPPEARS, (1, 2), source=(1, 1)),
+            PatternRecord(COHERES, (1, 2), sources=((1, 6), (1, 7)), target=(2, 4)),
+        ]
+        ordered = sorted(recs, key=PatternRecord.sort_key)
+        assert ordered == [recs[i] for i in (5, 6, 1, 7, 3, 2, 4, 0, 8)]
+
+
 class TestClassifyTarget:
     def test_isolated_appears(self):
         pair = pair_of([set(range(100, 110))], [set(range(10))])
