@@ -171,11 +171,11 @@ def _analyze(argv) -> int:
 
     params = Params(epsilon=args.epsilon, m=args.min_group, mu=args.mu)
     config = RunConfig(params=params, course=course, pace_factor=args.pace_factor)
-    result = run(events, config, ingest_s=ingest_s)
+    result = run(events, config)
 
     out = sys.stdout
     text = args.out == "text"
-    _emit_meta(out, text, args, result, len(issues))
+    _emit_meta(out, text, args, result, len(issues), ingest_s)
     if "summary" in reports:
         _emit_summary(out, text, result)
     if "patterns" in reports:
@@ -202,7 +202,7 @@ def _gids(ids) -> str:
     return ",".join(_gid(g) for g in ids) if ids else "-"
 
 
-def _emit_meta(out, text, args, result, n_issues) -> None:
+def _emit_meta(out, text, args, result, n_issues, ingest_s) -> None:
     engine = result.analysis.engine
     n_athletes = engine.n_athletes()
     cps = engine.known_cps()
@@ -219,7 +219,7 @@ def _emit_meta(out, text, args, result, n_issues) -> None:
         )
         t = result.timings
         out.write(
-            f"timing: ingest {t.ingest_s:.2f}s, grouping+graphs "
+            f"timing: ingest {ingest_s:.2f}s, grouping+graphs "
             f"{t.grouping_s:.2f}s, patterns {t.patterns_s:.2f}s, long-term "
             f"{t.longterm_s:.2f}s, {t.throughput():,.0f} events/s\n"
         )

@@ -93,12 +93,19 @@ class FinishedComponent(NamedTuple):
     """Engine output: a component was decreed finished.
 
     group is None when the component fell below the group threshold,
-    in which case every member became an outlier at this control point.
+    in which case every member became an outlier at this control point
+    and before and after are empty.  Otherwise before (after) maps the
+    ordinal of each group already finished at cp - 1 (cp + 1) to the
+    number of members it shares with this one.  A shared member is
+    counted once, by whichever of the two groups finishes second: when
+    the first finished, the member read PENDING in the second's column.
     """
 
     cp: int
     members: tuple[int, ...]
     group: Group | None
+    before: dict[int, int]
+    after: dict[int, int]
 
 
 class GroupingEngine:
@@ -119,9 +126,6 @@ class GroupingEngine:
         self._capacity = 0  # the length of every column
         self._codes: list[list[int]] = []  # cp -> slot -> code
         self._times: list[list[int]] = []  # cp -> slot -> crossing time, or -1
-        # the component finished last: its group, or None, and its
-        # members' slots, for tally()
-        self._finished: tuple[Group | None, list[int]] = (None, [])
         # one record per (athlete, kind, cp), however often it recurs
         self.anomalies: list[AnomalyRecord] = []
         self._anomaly_keys: set[tuple[int, str, int]] = set()
@@ -137,10 +141,9 @@ class GroupingEngine:
 
         on_finish, when given, is invoked synchronously with each
         FinishedComponent at the moment it is decreed finished; it is
-        the engine's only report of finished components.  Downstream
-        graph bookkeeping relies on observing the codes exactly as they
-        were at that moment, before later events resolve more pending
-        entries.
+        the engine's only report of finished components.  Each report
+        carries its group's exact shared-member counts, so the callback
+        needs nothing else from the engine.
 
         Raises StreamOrderError if global timestamps ever decrease and
         ValueError on a negative control point; per-athlete
@@ -266,12 +269,9 @@ class GroupingEngine:
             self.anomalies.append(AnomalyRecord(athlete, kind, cp, details))
 
     def finalize_all(self, on_finish=None) -> None:
-        """Broom wagon: finish every remaining active component.
-
-        Components are finished in control-point order so that, by the
-        time a group is decreed at cp c, every code at c-1 is already
-        resolved.  Each leaves the active set before its callback runs,
-        so none is finished twice.
+        """Broom wagon: finish every remaining active component, in
+        control-point order.  Each leaves the active set before its
+        callback runs, so none is finished twice.
         """
         active = self._active
         for cp in sorted(active):
@@ -294,38 +294,29 @@ class GroupingEngine:
             bucket.append(group)
             for slot in slots:
                 column[slot] = ordinal
-        else:
-            group = None
-            bucket = self.outliers.get(cp)
-            if bucket is None:
-                bucket = self.outliers[cp] = []
-            bucket.extend(members)
+            return FinishedComponent(
+                cp, members, group, self._shared(cp - 1, slots), self._shared(cp + 1, slots)
+            )
+        bucket = self.outliers.get(cp)
+        if bucket is None:
+            bucket = self.outliers[cp] = []
+        bucket.extend(members)
+        for slot in slots:
+            column[slot] = OUTLIER
+        return FinishedComponent(cp, members, None, {}, {})
+
+    def _shared(self, cp: int, slots: list[int]) -> dict[int, int]:
+        """How many of these slots read each group ordinal at cp."""
+        counts: dict[int, int] = {}
+        if 0 <= cp < len(self._codes):
+            column = self._codes[cp]
             for slot in slots:
-                column[slot] = OUTLIER
-        self._finished = (group, slots)
-        return FinishedComponent(cp, members, group)
+                code = column[slot]
+                if code >= 0:
+                    counts[code] = counts.get(code, 0) + 1
+        return counts
 
     # -- read access ---------------------------------------------------
-
-    def tally(self, group: Group, cp: int) -> tuple[dict[int, int], int]:
-        """The members of the group finished last by their code at cp,
-        which they all passed: how many belong to each group ordinal
-        there, and how many are still in the active component.  Graph
-        construction calls it from on_finish, while the codes still
-        stand as they did when the group finished."""
-        finished_group, slots = self._finished
-        if finished_group is not group:
-            raise ValueError(f"group {group.id} is not the component finished last")
-        column = self._codes[cp]
-        counts: dict[int, int] = {}
-        pending = 0
-        for slot in slots:
-            code = column[slot]
-            if code >= 0:
-                counts[code] = counts.get(code, 0) + 1
-            elif code == PENDING:
-                pending += 1
-        return counts, pending
 
     def _slot(self, athlete: int) -> int:
         slot = self._slot_of.get(athlete)

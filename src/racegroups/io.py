@@ -239,7 +239,8 @@ def write_events(path: str, events: Iterable[Event]) -> None:
 
 
 def read_course(path: str) -> dict[int, int]:
-    """Control point distances: one `index,meters` line each.
+    """Control point distances: one `index,meters` line each, exactly
+    two cells, so a number with a thousands separator is an error.
 
     Line 1 is a header when its first cell is not an integer in any
     digits, so a malformed number there is an error, not a header.
@@ -252,8 +253,9 @@ def read_course(path: str) -> dict[int, int]:
             if not row or all(not cell.strip() for cell in row):
                 continue
             try:
-                cp, meters = _parse_int(row[0]), _parse_int(row[1])
-            except (ValueError, IndexError):
+                index, meters_cell = row  # exactly two cells
+                cp, meters = _parse_int(index), _parse_int(meters_cell)
+            except ValueError:
                 if lineno == 1 and not _is_int(row[0]):
                     continue
                 raise ValueError(f"{path}: line {lineno}: expected `index,meters`")

@@ -109,8 +109,8 @@ class PatternSet:
 
 
 class IncompletePairError(RuntimeError):
-    """Final classification was asked for too early: a pair that still
-    has tentative edges, or a race that is not finalized."""
+    """Final classification was asked for before the race was
+    finalized."""
 
 
 def _survives_record(pair: PairGraph, left: int, right: int) -> PatternRecord:
@@ -220,11 +220,9 @@ def _pattern_set(
 
 
 def detect_patterns(pair: PairGraph) -> PatternSet:
-    """Classify every group of a finalized pair (batch mode)."""
-    if pair.tentative:
-        raise IncompletePairError(
-            f"pair ({pair.left_cp},{pair.right_cp}) still has tentative edges"
-        )
+    """Classify every group of a pair of a finalized race (batch mode).
+    Mid-stream a pair lacks the groups still open, so its answer may
+    be wrong; the online tracker's snapshot gives the transitory one."""
     return _pattern_set(
         pair,
         (classify_target(pair, r) for r in range(len(pair.right_sizes))),

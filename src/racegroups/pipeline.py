@@ -2,11 +2,10 @@
 keep the evolution graphs current, classify every control-point pair,
 sweep the long-term labels, and answer questions about the result.
 
-The analysis object wires the layers the only way that is sound: the
-engine invokes a callback at the exact moment a component is decreed
-finished, and that callback feeds the graph stack (and, online, the
-pattern tracker) while the engine's codes still show the state of that
-moment.
+The analysis object wires the layers: the engine invokes a callback
+each time a component is decreed finished, and for a group that
+callback feeds the group and its shared-member counts to the graph
+stack and, online, the graph changes to the pattern tracker.
 """
 
 from __future__ import annotations
@@ -78,10 +77,9 @@ class RunConfig:
 
 @dataclass
 class StageTimings:
-    """Wall-clock seconds per stage.  Parsing and sorting are accounted
-    to ingest and excluded from the streaming throughput."""
+    """Wall-clock seconds per stage of run(), which starts from parsed
+    and sorted events."""
 
-    ingest_s: float = 0.0
     grouping_s: float = 0.0
     patterns_s: float = 0.0
     longterm_s: float = 0.0
@@ -121,19 +119,18 @@ class RaceAnalysis:
     def __init__(self, config: RunConfig) -> None:
         self.config = config
         self.engine = GroupingEngine(config.params)
-        self.stack = GraphStack(config.params.mu, self.engine)
+        self.stack = GraphStack(config.params.mu)
         self.tracker = PatternTracker() if config.mode == MODE_ONLINE else None
         self._sealed_sets: dict[int, PatternSet] | None = None
 
     # -- streaming ----------------------------------------------------
 
     def _dispatch(self, finished) -> None:
-        if finished.group is not None:
-            updates = self.stack.on_group(finished.group)
+        group = finished.group
+        if group is not None:
+            updates = self.stack.on_group(group, finished.before, finished.after)
             if self.tracker is not None:
-                self.tracker.on_group(finished.group, updates)
-        else:
-            self.stack.on_failed_component(finished.cp)
+                self.tracker.on_group(group, updates)
 
     def ingest(self, events) -> None:
         self.engine.ingest_many(events, on_finish=self._dispatch)
@@ -306,9 +303,9 @@ class RunResult:
         return {kind: self.longest[kind].length_cps for kind in LONGTERM_KINDS}
 
 
-def run(events, config: RunConfig, ingest_s: float = 0.0) -> RunResult:
+def run(events, config: RunConfig) -> RunResult:
     """The whole pipeline over an already sorted event stream."""
-    timings = StageTimings(ingest_s=ingest_s)
+    timings = StageTimings()
     analysis = RaceAnalysis(config)
 
     t0 = _time.perf_counter()

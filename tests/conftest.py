@@ -53,7 +53,8 @@ def overlapping_streams(draw):
     the next control point one short leg after the last (1-8 s plus
     their own drift of up to 4 s), while the field takes far longer to
     cross one, so right groups finish while a left component is still
-    open and tentative edges occur on most examples.  The drift splits,
+    open, and the left group counts the shared members, on most
+    examples.  The drift splits,
     merges and reorders groups from one control point to the next."""
     n_ath = draw(st.integers(12, 30))
     n_cp = draw(st.integers(3, 6))

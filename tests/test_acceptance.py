@@ -54,13 +54,11 @@ def _random_instance(seed: int):
 
 def _run_stack(events, params):
     engine = GroupingEngine(params)
-    stack = GraphStack(params.mu, engine)
+    stack = GraphStack(params.mu)
 
     def dispatch(finished):
         if finished.group is not None:
-            stack.on_group(finished.group)
-        else:
-            stack.on_failed_component(finished.cp)
+            stack.on_group(finished.group, finished.before, finished.after)
 
     engine.ingest_many(events, on_finish=dispatch)
     engine.finalize_all(on_finish=dispatch)

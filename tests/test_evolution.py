@@ -1,5 +1,6 @@
-"""Pair graph tests: promotion thresholds, tentative edge lifecycle,
-and the streaming construction against a from-scratch rebuild."""
+"""Pair graph tests: promotion thresholds, either side finishing
+second, the engine's shared-member counts, and the streaming
+construction against a from-scratch rebuild."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from conftest import (
 )
 from racegroups.core import Event, Mu, Params
 from racegroups.evolution import PairGraph
+from racegroups.grouping import GroupingEngine
 from racegroups.oracles import oracle_groups
 
 MU = Mu(7, 10)
@@ -23,14 +25,14 @@ MU = Mu(7, 10)
 def make_pair(left_sizes, mu=MU):
     pair = PairGraph(0, mu)
     for o, size in enumerate(left_sizes):
-        pair.add_left(o, size)
+        pair.add_left(o, size, {})
     return pair
 
 
 class TestPromotion:
     def test_strong_pair_promotes_both_directions(self):
         pair = make_pair([10])
-        added = pair.add_right(0, 10, {0: 9}, 0)
+        added = pair.add_right(0, 10, {0: 9})
         assert {(e.forward) for e in added} == {True, False}
         assert pair.fwd[0] == 0 and pair.fwd_in[0] == [(0, 9)]
         assert pair.bwd[0] == 0 and pair.bwd_in[0] == [(0, 9)]
@@ -39,31 +41,33 @@ class TestPromotion:
         # a 4-athlete group fully inside a 12-athlete group: 4/4 covers,
         # 4/12 does not
         pair = make_pair([4])
-        added = pair.add_right(0, 12, {0: 4}, 0)
+        added = pair.add_right(0, 12, {0: 4})
         assert [e.forward for e in added] == [True]
         assert pair.bwd == {}
 
     def test_exact_threshold_counts(self):
         # 7 of 10 at mu=7/10 is a relation; 6 of 10 is not
         pair = make_pair([10, 10])
-        assert [e.forward for e in pair.add_right(0, 100, {0: 7}, 0)] == [True]
-        assert pair.add_right(1, 100, {1: 6}, 0) == []
+        assert [e.forward for e in pair.add_right(0, 100, {0: 7})] == [True]
+        assert pair.add_right(1, 100, {1: 6}) == []
 
     def test_strong_partner(self):
         pair = make_pair([10, 4])
-        pair.add_right(0, 10, {0: 9}, 0)
-        pair.add_right(1, 12, {1: 4}, 0)
+        pair.add_right(0, 10, {0: 9})
+        pair.add_right(1, 12, {1: 4})
         assert pair.strong_partner_of_left(0) == 0
         assert pair.strong_partner_of_left(1) is None  # forward only
 
 
 class TestTentative:
+    """A right group finishes while its left partner is still open: the
+    relation stays undecided until the left group finishes and brings
+    the shared count."""
+
     def test_materialize_promotes(self):
         pair = PairGraph(0, MU)
-        assert pair.add_right(0, 10, {}, 7) == []
-        assert pair.tentative == {0: 7}
-        added = pair.add_left(0, 10)
-        assert pair.tentative == {}
+        assert pair.add_right(0, 10, {}) == []
+        added = pair.add_left(0, 10, {0: 7})
         # 7/10 covers in both directions at mu=7/10
         assert {e.forward for e in added} == {True, False}
         assert pair.fwd == {0: 0} and pair.bwd == {0: 0}
@@ -71,19 +75,12 @@ class TestTentative:
 
     def test_two_right_groups_share_one_component(self):
         pair = PairGraph(0, MU)
-        pair.add_right(0, 10, {}, 3)
-        pair.add_right(1, 8, {}, 6)
-        pair.add_left(0, 9)
+        pair.add_right(0, 10, {})
+        pair.add_right(1, 8, {})
+        pair.add_left(0, 9, {0: 3, 1: 6})
         # 6 of 9 misses mu, 6 of 8 covers it: backward edge only
         assert pair.fwd == {}
         assert pair.bwd == {1: 0} and pair.bwd_in == {0: [(1, 6)]}
-
-    def test_delete_tentative_is_idempotent(self):
-        pair = PairGraph(0, MU)
-        pair.add_right(0, 10, {}, 9)
-        pair.delete_tentative_edges()
-        pair.delete_tentative_edges()
-        assert pair.add_left(0, 9) == []
 
 
 class TestFromMemberships:
@@ -138,6 +135,19 @@ def any_streams():
     return st.one_of(cohort_streams(), overlapping_streams(), slow_tail_streams())
 
 
+# Right group 1.0 = {1, 2, 3, 4} finishes at t=5000 while 1 and 2 are
+# still in the open component at cp 0.  That component fails, then
+# {6, 7, 8} becomes group 0.0.  Nothing is shared: at mu = 3/5, a
+# leftover count of 2 credited to 0.0 would make an edge (2 of 3).
+FAILED_LEFT_COMPONENT = (
+    [Event(1, 0, 0), Event(2, 0, 1000)]
+    + [Event(a, 1, 1000 + 100 * a) for a in (1, 2, 3, 4)]
+    + [Event(5, 1, 5000)]
+    + [Event(a, 0, 5400 + 100 * a) for a in (6, 7, 8)],
+    Params(epsilon=2000, m=3, mu=Mu(3, 5)),
+)
+
+
 class TestStreamingStack:
     def test_small_stream_matches_rebuild(self):
         # ten athletes cross cp 0 together; seven of them cross cp 1
@@ -163,12 +173,12 @@ class TestStreamingStack:
 
     @settings(max_examples=200, deadline=None)
     @given(any_streams())
+    @example(FAILED_LEFT_COMPONENT)
     def test_streaming_matches_rebuild(self, case):
         events, params = case
         engine, stack, _ = run_stream(events, params)
         reference = oracle_groups(events, params)
         for pair in complete_pairs(engine, stack):
-            assert pair.tentative == {}
             want = expected_pair(
                 pair.left_cp,
                 reference.get(pair.left_cp, []),
@@ -216,3 +226,36 @@ class TestStreamingStack:
             for o, children in pair.bwd_in.items():
                 assert all(w >= 1 for _, w in children)
                 assert sum(w for _, w in children) <= pair.left_sizes[o]
+
+
+class TestSharedCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(any_streams())
+    @example(FAILED_LEFT_COMPONENT)
+    def test_each_shared_member_counted_once(self, case):
+        # every nonzero |S ∩ S'| of groups S at c and S' at c+1 is
+        # reported exactly once, in S'.before or S.after, and a report
+        # names no group that shares no member: the rebuild comparison
+        # sees only the weights that became edges, this one all of them
+        events, params = case
+        engine = GroupingEngine(params)
+        reports = []
+        engine.ingest_many(events, on_finish=reports.append)
+        engine.finalize_all(on_finish=reports.append)
+        counted = []  # (left cp, left ordinal, right ordinal, shared)
+        for report in reports:
+            if report.group is None:
+                assert report.before == report.after == {}
+                continue
+            cp, ordinal = report.group.id
+            counted += [(cp - 1, o, ordinal, n) for o, n in report.before.items()]
+            counted += [(cp, ordinal, r, n) for r, n in report.after.items()]
+        reference = oracle_groups(events, params)
+        expected = [
+            (cp, o, r, len(left & right))
+            for cp, lefts in reference.items()
+            for o, (left, _, _) in enumerate(lefts)
+            for r, (right, _, _) in enumerate(reference.get(cp + 1, ()))
+            if left & right
+        ]
+        assert sorted(counted) == sorted(expected)

@@ -262,14 +262,9 @@ class TestAccessors:
         assert eng.n_components_at(0) == 2
         assert eng.n_crossed_at(0) == 3
 
-    def test_tally_reads_only_the_component_finished_last(self):
+    def test_second_finisher_counts_the_shared_members(self):
         eng = GroupingEngine(params(epsilon=1000, m=2))
-        tallies = []
-
-        def on_finish(finished):
-            if finished.group is not None and finished.cp == 1:
-                tallies.append(eng.tally(finished.group, 0))
-
+        outs = []
         eng.ingest_many(
             [
                 Event(0, 0, 0),
@@ -278,13 +273,27 @@ class TestAccessors:
                 Event(1, 1, 5100),
                 Event(2, 0, 9000),  # finishes group 0.0
                 Event(2, 1, 20000),  # finishes group 1.0
+                Event(3, 1, 30000),
+                Event(4, 1, 30100),
+                Event(3, 2, 30200),
+                Event(4, 2, 30300),
+                Event(5, 2, 40000),  # finishes group 2.0 while 1.1 is open
             ],
-            on_finish=on_finish,
+            on_finish=outs.append,
         )
-        assert tallies == [({0: 2}, 0)]
-        eng.finalize_all()  # athlete 2 is an outlier at both points
-        with pytest.raises(ValueError, match="finished last"):
-            eng.tally(eng.groups_at(1)[0], 0)
+        eng.finalize_all(on_finish=outs.append)
+        reports = [
+            (o.group.id, o.before, o.after) for o in outs if o.group is not None
+        ]
+        assert reports == [
+            ((0, 0), {}, {}),  # athletes 0 and 1 still open at cp 1
+            ((1, 0), {0: 2}, {}),
+            ((2, 0), {}, {}),  # athletes 3 and 4 still open at cp 1
+            ((1, 1), {}, {0: 2}),
+        ]
+        # athletes 2 and 5 were outliers: a failed component counts nothing
+        failed = [(o.before, o.after) for o in outs if o.group is None]
+        assert failed == [({}, {})] * 3
 
     def test_group_count_bounded_by_n_over_m(self):
         eng = GroupingEngine(params(epsilon=0, m=2))
@@ -337,26 +346,18 @@ def _late_field():
 
 def _expected_pairs(histories, mu):
     """Per left cp, the pair graph of the finished groups in the
-    histories and the tentative weight of each right group toward the
-    active component at the left cp: its members still pending there."""
+    histories."""
     members = defaultdict(lambda: defaultdict(set))  # cp -> ordinal -> set
-    pending = defaultdict(set)
     for athlete, (codes, _) in histories.items():
         for cp, code in enumerate(codes):
             if code >= 0:
                 members[cp][code].add(athlete)
-            elif code == PENDING:
-                pending[cp].add(athlete)
     lefts = set(members) | {cp - 1 for cp in members if cp > 0}
     expected = {}
     for cp in lefts:
         left = [members[cp][o] for o in range(len(members[cp]))]
         right = [members[cp + 1][r] for r in range(len(members[cp + 1]))]
-        tentative = {r: len(s & pending[cp]) for r, s in enumerate(right)}
-        expected[cp] = (
-            PairGraph.from_memberships(cp, left, right, mu),
-            {r: w for r, w in tentative.items() if w},
-        )
+        expected[cp] = PairGraph.from_memberships(cp, left, right, mu)
     return expected
 
 
@@ -390,14 +391,13 @@ def _check_readers(analysis, fed, finalized):
     expected = _expected_pairs(histories, mu)
     for cp in set(expected) | set(analysis.stack.pairs):
         got = analysis.stack.pairs.get(cp) or PairGraph(cp, mu)
-        want, tentative = expected.get(cp) or (PairGraph(cp, mu), {})
+        want = expected.get(cp) or PairGraph(cp, mu)
         assert (got.left_sizes, got.right_sizes) == (want.left_sizes, want.right_sizes)
         assert (got.fwd, got.bwd) == (want.fwd, want.bwd)
         for ins in ("fwd_in", "bwd_in"):
             assert {k: sorted(v) for k, v in getattr(got, ins).items()} == {
                 k: sorted(v) for k, v in getattr(want, ins).items()
             }
-        assert got.tentative == tentative
 
 
 def test_spare_column_capacity_stays_invisible():

@@ -502,6 +502,8 @@ class TestCourse:
             ("index,meters\n0,+5000\n", 2),
             ("\uff10,5000\n1,10000\n", 1),  # not a header: it is a number
             ("0,5000\n1,\uff11\uff10000\n", 2),
+            # thousands separators split a distance into extra cells
+            ("index,meters\n0,0\n1,5,000\n2,10,000\n3,15,000\n", 3),
         ):
             path.write_text(text, encoding="utf-8")
             with pytest.raises(ValueError, match=f"line {line}:"):

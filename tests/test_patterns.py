@@ -245,12 +245,6 @@ class TestDetectPatterns:
         )
         assert kinds_of(result) == [APPEARS, DISAPPEARS]
 
-    def test_incomplete_pair_raises(self):
-        pair = PairGraph(0, MU)
-        pair.add_right(0, 10, {}, 10)
-        with pytest.raises(IncompletePairError):
-            detect_patterns(pair)
-
 
 class TestCornerFlags:
     def test_unclassified_source(self):
@@ -384,7 +378,7 @@ class TestOnlineTracker:
         analysis.ingest(events)
         pair = analysis.stack.pair(0)
         with pytest.raises(IncompletePairError):
-            detect_patterns(pair)
+            analysis.pattern_sets()
         mid = analysis.tracker.snapshot(pair)
         assert not mid.finalized
         assert kinds_of(mid) == [APPEARS]
