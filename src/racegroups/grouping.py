@@ -99,6 +99,10 @@ class FinishedComponent(NamedTuple):
     number of members it shares with this one.  A shared member is
     counted once, by whichever of the two groups finishes second: when
     the first finished, the member read PENDING in the second's column.
+    Only the later group reads codes: a group at cp + 1 counts its
+    members that read PENDING at cp, who are all in the component still
+    active there, and credits that count to the component, which
+    reports its credits as after.
     """
 
     cp: int
@@ -113,8 +117,8 @@ class GroupingEngine:
 
     def __init__(self, params: Params) -> None:
         self.params = params
-        # cp -> [member list, slot list, t_first, t_last]; plain lists
-        # keep the per-event work to a few dict/list operations
+        # cp -> [member list, slot list, t_first, t_last, after]; plain
+        # lists keep the per-event work to a few dict/list operations
         self._active: dict[int, list] = {}
         self.groups: dict[int, list[Group]] = {}
         self.outliers: dict[int, list[int]] = {}
@@ -129,6 +133,9 @@ class GroupingEngine:
         # one record per (athlete, kind, cp), however often it recurs
         self.anomalies: list[AnomalyRecord] = []
         self._anomaly_keys: set[tuple[int, str, int]] = set()
+        # athlete -> position of each athlete of the last leaders() call,
+        # until the next accepted crossing can change it
+        self._leader_positions: dict[int, int] = {}
         self.events_accepted = 0
         self.events_rejected = 0
         self._last_stream_time: int | None = None
@@ -224,7 +231,7 @@ class GroupingEngine:
                 if comp is None:  # the first crossing at cp
                     self._add_columns(cp)
                     times[cp][slot] = t
-                    active[cp] = [[athlete], [slot], t, t]
+                    active[cp] = [[athlete], [slot], t, t, {}]
                     continue
                 times[cp][slot] = t
                 if t - comp[3] <= eps:
@@ -234,11 +241,13 @@ class GroupingEngine:
                 else:
                     # the new component is in place before the callback
                     # runs, so a callback that raises leaves a sound state
-                    active[cp] = [[athlete], [slot], t, t]
+                    active[cp] = [[athlete], [slot], t, t, {}]
                     finished = self._finish(cp, comp)
                     if on_finish is not None:
+                        self._leader_positions = {}
                         on_finish(finished)
         finally:
+            self._leader_positions = {}
             self._last_stream_time = last_stream
             self.events_accepted += accepted
             self.events_rejected += rejected
@@ -281,7 +290,7 @@ class GroupingEngine:
         self._finalized = True
 
     def _finish(self, cp: int, comp: list) -> FinishedComponent:
-        member_list, slots, t_first, t_last = comp
+        member_list, slots, t_first, t_last, after = comp
         members = tuple(member_list)  # shared by the group and the report
         column = self._codes[cp]
         self.component_counts[cp] = self.component_counts.get(cp, 0) + 1
@@ -294,9 +303,19 @@ class GroupingEngine:
             bucket.append(group)
             for slot in slots:
                 column[slot] = ordinal
-            return FinishedComponent(
-                cp, members, group, self._shared(cp - 1, slots), self._shared(cp + 1, slots)
-            )
+            before: dict[int, int] = {}
+            if cp > 0:
+                previous = self._codes[cp - 1]
+                pending = 0
+                for slot in slots:
+                    code = previous[slot]
+                    if code >= 0:
+                        before[code] = before.get(code, 0) + 1
+                    elif code == PENDING:
+                        pending += 1
+                if pending:
+                    self._active[cp - 1][4][ordinal] = pending
+            return FinishedComponent(cp, members, group, before, after)
         bucket = self.outliers.get(cp)
         if bucket is None:
             bucket = self.outliers[cp] = []
@@ -304,17 +323,6 @@ class GroupingEngine:
         for slot in slots:
             column[slot] = OUTLIER
         return FinishedComponent(cp, members, None, {}, {})
-
-    def _shared(self, cp: int, slots: list[int]) -> dict[int, int]:
-        """How many of these slots read each group ordinal at cp."""
-        counts: dict[int, int] = {}
-        if 0 <= cp < len(self._codes):
-            column = self._codes[cp]
-            for slot in slots:
-                code = column[slot]
-                if code >= 0:
-                    counts[code] = counts.get(code, 0) + 1
-        return counts
 
     # -- read access ---------------------------------------------------
 
@@ -338,6 +346,9 @@ class GroupingEngine:
     def position(self, athlete: int) -> int:
         """1 + the athletes ahead: past a later control point, or past
         the same one at an earlier time."""
+        known = self._leader_positions.get(athlete)
+        if known is not None:
+            return known
         slot = self._slot(athlete)
         n, t = self._passed[slot], self._last_time[slot]
         ahead = 0
@@ -349,32 +360,45 @@ class GroupingEngine:
     def leaders(self, k: int) -> list[int]:
         """The k athletes furthest along: the latest control point
         first, then the earliest last crossing there, then the lowest
-        athlete id."""
+        athlete id.
+
+        Whoever is ahead of a leader is a leader too, so each leader's
+        position is read off this ranking; position() returns it until
+        the next accepted crossing."""
         ranked = heapq.nsmallest(
             k, zip(map(neg, self._passed), self._last_time, self._athletes)
         )
+        positions = {}
+        previous = None
+        for rank, (progress, t, athlete) in enumerate(ranked, start=1):
+            if (progress, t) != previous:  # ties share a position
+                previous, place = (progress, t), rank
+            positions[athlete] = place
+        self._leader_positions = positions
         return [athlete for _, _, athlete in ranked]
 
     def n_athletes(self) -> int:
         """How many athletes have an accepted crossing."""
         return len(self._athletes)
 
-    def crossing_times(
+    def crossing_rows(
         self, cps: Sequence[int]
-    ) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-        """(athlete, [(cp, time), ...]) per athlete, in the order the
-        athletes were first seen: the crossings at the non-negative
-        control points cps, in their order, that the athlete made; a
-        skipped or unreached point is left out.  Consecutive athletes
-        read neighbouring entries of each column."""
-        codes, times = self._codes, self._times
-        columns = [(cp, codes[cp], times[cp]) for cp in cps if 0 <= cp < len(codes)]
-        for slot, (athlete, n) in enumerate(zip(self._athletes, self._passed)):
-            yield athlete, [
-                (cp, time_column[slot])
-                for cp, code_column, time_column in columns
-                if cp < n and code_column[slot] != ABSENT
-            ]
+    ) -> Iterator[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
+        """(athlete, passed, times, codes) per athlete, in the order the
+        athletes were first seen.  passed is how many control points the
+        athlete has passed, crossed or skipped; times and codes are the
+        athlete's entries in the columns of cps, non-negative control
+        points in increasing order, as far as those columns exist.  An
+        entry is a crossing iff its point is below passed and its code
+        is not ABSENT; the time of any other entry is -1.  Without a
+        column of cps there are no rows."""
+        present = [cp for cp in cps if cp < len(self._codes)]
+        return zip(
+            self._athletes,
+            self._passed,
+            zip(*[self._times[cp] for cp in present]),
+            zip(*[self._codes[cp] for cp in present]),
+        )
 
     def groups_at(self, cp: int) -> list[Group]:
         if cp < 0:

@@ -11,6 +11,7 @@ stack and, online, the graph changes to the pattern tracker.
 from __future__ import annotations
 
 import time as _time
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
@@ -229,42 +230,92 @@ class RaceAnalysis:
         (athlete, cp, kind); the pace jumps come last, by athlete id
         and then control point."""
         out = list(self.engine.anomalies)
-        course = self.config.course
-        if course is not None:
-            jumps: list[AnomalyRecord] = []
-            factor = self.config.pace_factor
-            p, q = factor.numerator, factor.denominator
-            for athlete, series in self.engine.crossing_times(sorted(course)):
-                if len(series) < 3:
-                    continue  # the first segment has no history to average
-                (c0, t0), (c_prev, t_prev) = series[0], series[1]
-                d0, d_prev = course[c0], course[c_prev]
-                # a pace key is new here: cps increase along a series
-                # and the engine records no pace jumps
-                for c_cur, t_cur in series[2:]:
-                    d_cur = course[c_cur]
-                    # this segment's pace dt/dd against the running average
-                    # dt_avg/dd_avg over everything before it, times p/q,
-                    # cross-multiplied: distances increase, so dd > 0
-                    seg_x = (t_cur - t_prev) * (d_prev - d0)  # dt * dd_avg
-                    avg_x = (t_prev - t0) * (d_cur - d_prev)  # dt_avg * dd
-                    if q * seg_x > p * avg_x or p * seg_x < q * avg_x:
-                        seg = _pace(t_cur - t_prev, d_cur - d_prev)
-                        avg = _pace(t_prev - t0, d_prev - d0)
-                        jumps.append(
-                            AnomalyRecord(
-                                athlete,
-                                ANOMALY_PACE,
-                                c_cur,
-                                f"segment pace {seg:.2f} min/km vs running "
-                                f"average {avg:.2f} (factor {float(factor):g})",
-                            )
-                        )
-                    t_prev, d_prev = t_cur, d_cur
-            # a stable sort: each athlete's jumps are already in cp order
-            jumps.sort(key=attrgetter("athlete"))
-            out.extend(jumps)
+        if self.config.course is not None:
+            out.extend(self._pace_jumps())
         return out
+
+    def _pace_jumps(self) -> list[AnomalyRecord]:
+        """Each step between course points whose pace dt/dd leaves the
+        running average dt_avg/dd_avg over everything before it by more
+        than the factor p/q, either way, cross-multiplied in integers
+        (distances increase, so dd > 0): a jump iff
+        q * dt * dd_avg > p * dt_avg * dd or p * dt * dd_avg < q * dt_avg * dd.
+
+        A row that crossed every course point it reached has its steps
+        at fixed distances, so their distance factors are computed once
+        per race; a row with a jump, or with a skipped course point,
+        goes through _series_jumps, which makes the records."""
+        course = self.config.course
+        factor = self.config.pace_factor
+        p, q = factor.numerator, factor.denominator
+        cps = sorted(course)
+        meters = [course[cp] for cp in cps]
+        # per step k >= 2 of a full row: dd_avg = d[k-1] - d[0] and
+        # dd = d[k] - d[k-1]
+        dd_avg = [d - meters[0] for d in meters[1:-1]]
+        dd = [b - a for a, b in zip(meters[1:], meters[2:])]
+        q_dd_avg, p_dd_avg = [q * d for d in dd_avg], [p * d for d in dd_avg]
+        p_dd, q_dd = [p * d for d in dd], [q * d for d in dd]
+        jumps: list[AnomalyRecord] = []
+        for athlete, passed, times, codes in self.engine.crossing_rows(cps):
+            reached = bisect_left(cps, passed)
+            if ABSENT in codes:  # a skipped course point
+                series = [
+                    (cp, t)
+                    for cp, t, code in zip(cps[:reached], times, codes)
+                    if code != ABSENT
+                ]
+            else:
+                t0 = times[0]
+                for t_prev, t, a, b, c, d in zip(
+                    times[1:], times[2:reached], q_dd_avg, p_dd, p_dd_avg, q_dd
+                ):
+                    dt, dt_avg = t - t_prev, t_prev - t0
+                    # a, b, c, d: q * dd_avg, p * dd, p * dd_avg, q * dd
+                    if dt * a > dt_avg * b or dt * c < dt_avg * d:
+                        break
+                else:
+                    continue
+                series = list(zip(cps, times[:reached]))
+            if len(series) >= 3:  # the first segment has no history to average
+                jumps.extend(_series_jumps(athlete, series, course, factor))
+        # a stable sort: each athlete's jumps are already in cp order
+        jumps.sort(key=attrgetter("athlete"))
+        return jumps
+
+
+def _series_jumps(
+    athlete: int,
+    series: list[tuple[int, int]],
+    course: dict[int, int],
+    factor: Fraction,
+) -> list[AnomalyRecord]:
+    """The pace jumps along one athlete's (cp, time) crossings at
+    course points, at least three, one step at a time."""
+    p, q = factor.numerator, factor.denominator
+    jumps = []
+    (c0, t0), (c_prev, t_prev) = series[0], series[1]
+    d0, d_prev = course[c0], course[c_prev]
+    # a pace key is new here: cps increase along a series and the
+    # engine records no pace jumps
+    for c_cur, t_cur in series[2:]:
+        d_cur = course[c_cur]
+        seg_x = (t_cur - t_prev) * (d_prev - d0)  # dt * dd_avg
+        avg_x = (t_prev - t0) * (d_cur - d_prev)  # dt_avg * dd
+        if q * seg_x > p * avg_x or p * seg_x < q * avg_x:
+            seg = _pace(t_cur - t_prev, d_cur - d_prev)
+            avg = _pace(t_prev - t0, d_prev - d0)
+            jumps.append(
+                AnomalyRecord(
+                    athlete,
+                    ANOMALY_PACE,
+                    c_cur,
+                    f"segment pace {seg:.2f} min/km vs running "
+                    f"average {avg:.2f} (factor {float(factor):g})",
+                )
+            )
+        t_prev, d_prev = t_cur, d_cur
+    return jumps
 
 
 def _pace(delta_ms: int, delta_m: int) -> float:

@@ -295,6 +295,28 @@ class TestAccessors:
         failed = [(o.before, o.after) for o in outs if o.group is None]
         assert failed == [({}, {})] * 3
 
+    def test_leader_positions_last_until_the_next_crossing(self):
+        eng = GroupingEngine(params(epsilon=100, m=1))
+        seen = []
+
+        def on_finish(_):
+            seen.append((eng.position(0), eng.position(1)))
+            eng.leaders(2)
+
+        eng.ingest_many(
+            [
+                Event(0, 0, 0),
+                Event(1, 0, 1000),  # finishes {0} at cp 0
+                Event(1, 1, 2000),  # 1 overtakes 0
+                Event(2, 0, 3000),  # finishes {1} at cp 0
+            ],
+            on_finish=on_finish,
+        )
+        assert seen == [(1, 2), (2, 1)]
+        assert eng.leaders(2) == [1, 0]
+        eng.ingest_many([Event(0, 1, 4000), Event(0, 2, 5000)])
+        assert (eng.position(0), eng.position(1), eng.position(2)) == (1, 2, 3)
+
     def test_group_count_bounded_by_n_over_m(self):
         eng = GroupingEngine(params(epsilon=0, m=2))
         events = [Event(i, 0, i * 10_000) for i in range(10)]
@@ -375,18 +397,24 @@ def _check_readers(analysis, fed, finalized):
         key=lambda a: (-(len(histories[a][0]) - 1), histories[a][1][-1], a),
     )
     assert engine.leaders(10) == ranked[:10]
-    cps = range(11)
-    assert list(engine.crossing_times(cps)) == [
-        (
-            athlete,
-            [
-                (cp, times[cp])
-                for cp in cps
-                if cp < len(codes) and codes[cp] != ABSENT
-            ],
-        )
-        for athlete, (codes, times) in histories.items()
+    for athlete in ranked[:10]:
+        assert engine.position(athlete) == oracle_position(histories, athlete)
+    cps = range(0, 11, 2)
+    n_columns = max(len(codes) for codes, _ in histories.values())
+    present = [cp for cp in cps if cp < n_columns]
+    rows = list(engine.crossing_rows(cps))
+    assert [(athlete, passed) for athlete, passed, _, _ in rows] == [
+        (athlete, len(codes)) for athlete, (codes, _) in histories.items()
     ]
+    for athlete, passed, row_times, row_codes in rows:
+        codes, times = histories[athlete]
+        assert len(row_times) == len(row_codes) == len(present)
+        for cp, t, code in zip(present, row_times, row_codes):
+            crossed = cp < passed and code != ABSENT
+            if cp < len(codes) and codes[cp] != ABSENT:
+                assert (crossed, t, code) == (True, times[cp], codes[cp])
+            else:
+                assert (crossed, t) == (False, -1)
     mu = analysis.config.params.mu
     expected = _expected_pairs(histories, mu)
     for cp in set(expected) | set(analysis.stack.pairs):

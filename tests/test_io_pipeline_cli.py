@@ -339,6 +339,22 @@ class TestChunkedLongFormat:
         assert all(type(e) is Event for e in got_events)
         assert got_issues == want_issues
 
+    @pytest.mark.parametrize(
+        "line",
+        [b"007,1,2", b"9" * 5000 + b",1,2"],
+        ids=["leading-zero", "past-digit-limit"],
+    )
+    def test_bulk_chunk_json_refuses_goes_to_row_reader(self, tmp_path, line):
+        # the chunk matches _BULK_CHUNK, but JSON refuses a leading zero
+        # and int() a cell past its digit limit
+        body = b"1,0,5\n" + line + b"\n3,0,7\n"
+        assert rio._BULK_CHUNK.fullmatch(body.decode())
+        path = tmp_path / "race.csv"
+        path.write_bytes(b"athlete_id,control_point,time_ms\n" + body)
+        events, issues = read_events(str(path))
+        assert (events, issues) == _read_by_rows(path)
+        assert all(type(e) is Event for e in events)
+
     def test_rows_after_bulk_chunks_keep_their_line_numbers(self, tmp_path, monkeypatch):
         monkeypatch.setattr(rio, "_CHUNK_BYTES", 8)
         path = tmp_path / "race.csv"
@@ -795,11 +811,13 @@ class TestCli:
         assert out_a == out_b
         assert "timing" not in out_a  # wall clock stays out of records
 
-    def test_field_records_match_golden(self, tmp_path):
-        # tests/data/field_records.txt is this run's stdout byte for byte;
-        # rewrite it only for a deliberate change of output
+    def _golden_run(self, tmp_path, first_id_padded=False):
         race = tmp_path / "field.csv"
         write_events(race, generate_field(1000, 6, seed=11))
+        if first_id_padded:  # JSON refuses the leading zero
+            data = race.read_bytes()
+            first = data.index(b"\n") + 1
+            race.write_bytes(data[:first] + b"0" + data[first:])
         with open(race, "a") as fh:
             fh.write("oops,1,2\n5,3\n")
         course = tmp_path / "course.csv"
@@ -815,11 +833,31 @@ class TestCli:
             ]
         )
         assert rc == 0
-        assert out == (DATA / "field_records.txt").read_text()
         assert err.splitlines() == [
             f"warning: {race}: line 6002: invalid literal for int() with base 10: 'oops'",
             f"warning: {race}: line 6003: expected 3 columns, got 2",
         ]
+        return out
+
+    def test_field_records_match_golden(self, tmp_path):
+        # tests/data/field_records.txt is this run's stdout byte for byte;
+        # rewrite it only for a deliberate change of output
+        assert self._golden_run(tmp_path) == (DATA / "field_records.txt").read_text()
+
+    def test_field_records_match_golden_read_by_rows(self, tmp_path, monkeypatch):
+        # a zero-padded first athlete id sends the whole file through the
+        # row reader, which must give the same records
+        read_long, row_read = rio._read_long, []
+
+        def spy(reader):
+            events, issues = read_long(reader)
+            row_read.append(len(events))
+            return events, issues
+
+        monkeypatch.setattr(rio, "_read_long", spy)
+        out = self._golden_run(tmp_path, first_id_padded=True)
+        assert out == (DATA / "field_records.txt").read_text()
+        assert row_read == [6000]
 
     def test_pattern_records_match_truth(self, race_file):
         path, truth = race_file

@@ -103,6 +103,9 @@ def _check(analysis: RaceAnalysis, fed: list[Event], finalized: bool) -> None:
         key=lambda a: (-(len(histories[a][0]) - 1), histories[a][1][-1], a),
     )
     assert engine.leaders(3) == ranked[:3]
+    # read off the ranking leaders() just made
+    for athlete in ranked[:3]:
+        assert engine.position(athlete) == oracle_position(histories, athlete)
     pace = [(r.athlete, r.cp) for r in analysis.anomalies() if r.kind == ANOMALY_PACE]
     if config.course is None:
         assert pace == []
@@ -110,7 +113,64 @@ def _check(analysis: RaceAnalysis, fed: list[Event], finalized: bool) -> None:
         assert pace == oracle_pace_jumps(histories, config.course, config.pace_factor)
 
 
+def _walks(walks: dict[int, list[tuple[int, int]]], course: dict[int, int]):
+    """A race from each athlete's (cp, time) crossings, cut once, with
+    the default pace factor 3/2."""
+    events = sorted(
+        (Event(a, cp, t) for a, walk in walks.items() for cp, t in walk),
+        key=lambda e: e.time,
+    )
+    return events, [len(events) // 2], RunConfig(Params(700, 1, Mu(7, 10)), course=course)
+
+
+def _course(n_points: int) -> dict[int, int]:
+    return {cp: 1000 * cp for cp in range(n_points)}
+
+
 @given(race=messy_races())
+# every athlete crosses every course point; athlete 1 jumps at cp 3
+@example(
+    race=_walks(
+        {
+            0: [(0, 0), (1, 1000), (2, 2000), (3, 3000)],
+            1: [(0, 0), (1, 1000), (2, 2000), (3, 5000)],
+            2: [(0, 0), (1, 1100), (2, 2200), (3, 3300)],
+        },
+        _course(4),
+    )
+)
+# segments at exactly the factor times the average and exactly the
+# average over the factor: neither is a jump
+@example(
+    race=_walks(
+        {
+            0: [(0, 0), (1, 1000), (2, 2000), (3, 3500)],
+            1: [(0, 0), (1, 1500), (2, 3000), (3, 4000)],
+        },
+        _course(4),
+    )
+)
+# athlete 1 stops after a jump at cp 2 and athlete 0 speeds up at cp 4;
+# nobody reaches course point 5
+@example(
+    race=_walks(
+        {
+            0: [(0, 0), (1, 1000), (2, 2000), (3, 3000), (4, 3300)],
+            1: [(0, 0), (1, 1000), (2, 2600)],
+        },
+        _course(6),
+    )
+)
+# athlete 0 skips course point 1 and jumps at cp 4
+@example(
+    race=_walks(
+        {
+            0: [(0, 0), (2, 2000), (3, 3000), (4, 3300)],
+            1: [(0, 0), (1, 1000), (2, 2000), (3, 3000), (4, 4000)],
+        },
+        _course(5),
+    )
+)
 @example(
     # a skipped cp, a backfill of it, a duplicate and a time that does
     # not increase, all for athlete 0; the course skips cp 1
