@@ -17,10 +17,11 @@ describes, the exceptions callers catch and the kind constants.  Import
 everything else from its own module.
 """
 
+import importlib
+
 from .core import Mu, Params
 from .evolution import GraphStack
 from .grouping import GroupingEngine, StreamOrderError
-from .io import MalformedInputError
 from .longterm import (
     KIND_BACKWARD,
     KIND_FORWARD,
@@ -46,7 +47,6 @@ from .patterns import (
     detect_patterns,
 )
 from .pipeline import RunConfig, run
-from .synth import GeneratorConfig, InfeasibleScriptError, generate
 
 __version__ = "0.1.0"
 
@@ -83,3 +83,21 @@ __all__ = [
     "longest_all",
     "run",
 ]
+
+# The reader and the generator are loaded on first use: an analysis run
+# never needs them, and the generator pulls in the reference oracles.
+_LAZY = {
+    "MalformedInputError": "io",
+    "GeneratorConfig": "synth",
+    "InfeasibleScriptError": "synth",
+    "generate": "synth",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

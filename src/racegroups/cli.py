@@ -20,6 +20,7 @@ import gc
 import os
 import sys
 import time as _time
+from typing import TYPE_CHECKING
 
 from .core import (
     DEFAULT_EPSILON_MS,
@@ -48,14 +49,9 @@ from .pipeline import (
     epsilon_sweep,
     run,
 )
-from .synth import (
-    Behavior,
-    GeneratorConfig,
-    InfeasibleScriptError,
-    course_points,
-    generate,
-    generate_field,
-)
+
+if TYPE_CHECKING:
+    from .synth import Behavior
 
 REPORTS = ("summary", "patterns", "longterm", "status", "anomalies")
 
@@ -92,7 +88,6 @@ def _main(argv) -> int:
         return 0
     except (
         MalformedInputError,
-        InfeasibleScriptError,
         StreamOrderError,
         ValueError,
         KeyError,
@@ -161,6 +156,15 @@ def _analyze(argv) -> int:
     for report in reports:
         if report not in REPORTS:
             raise ValueError(f"unknown report {report!r}")
+    params = Params(epsilon=args.epsilon, m=args.min_group, mu=args.mu)
+    epsilons = []
+    if args.epsilon_sweep:  # checked here, before the file is read
+        try:
+            epsilons = [int(v) for v in args.epsilon_sweep.split(",")]
+            for epsilon in epsilons:
+                Params(epsilon=epsilon, m=params.m, mu=params.mu)
+        except ValueError as exc:
+            raise ValueError(f"--epsilon-sweep: {exc}") from None
 
     t0 = _time.perf_counter()
     events, issues = read_events(args.input, args.format)
@@ -169,9 +173,13 @@ def _analyze(argv) -> int:
     for issue in issues:
         print(f"warning: {args.input}: {issue}", file=sys.stderr)
 
-    params = Params(epsilon=args.epsilon, m=args.min_group, mu=args.mu)
     config = RunConfig(params=params, course=course, pace_factor=args.pace_factor)
     result = run(events, config)
+    if "status" in reports:
+        # read before any output: an unknown athlete fails with none
+        analysis = result.analysis
+        requested = args.athlete or analysis.engine.leaders(10)
+        statuses = [analysis.athlete_status(athlete) for athlete in requested]
 
     out = sys.stdout
     text = args.out == "text"
@@ -183,11 +191,10 @@ def _analyze(argv) -> int:
     if "longterm" in reports:
         _emit_longterm(out, text, result)
     if "status" in reports:
-        _emit_status(out, text, result, args.athlete)
+        _emit_status(out, text, statuses)
     if "anomalies" in reports:
         _emit_anomalies(out, text, result)
-    if args.epsilon_sweep:
-        epsilons = [int(v) for v in args.epsilon_sweep.split(",")]
+    if epsilons:
         rows = epsilon_sweep(events, config, epsilons)
         _emit_sweep(out, text, rows)
     return 0
@@ -313,14 +320,10 @@ def _pace_str(value) -> str:
     return f"{value:.3f}" if value is not None else "-"
 
 
-def _emit_status(out, text, result, requested) -> None:
-    analysis = result.analysis
-    if requested is None:
-        requested = analysis.engine.leaders(10)
+def _emit_status(out, text, statuses) -> None:
     if text:
         out.write("\nathlete status:\n")
-    for athlete in requested:
-        status = analysis.athlete_status(athlete)
+    for status in statuses:
         if text:
             out.write(
                 f"  #{status.position} athlete {status.athlete}: cp "
@@ -422,6 +425,8 @@ def _generator_parser() -> argparse.ArgumentParser:
 
 
 def _parse_scripts(raw) -> tuple[tuple[Behavior, ...], ...] | None:
+    from .synth import Behavior
+
     if raw is None:
         return None
     return tuple(
@@ -430,14 +435,18 @@ def _parse_scripts(raw) -> tuple[tuple[Behavior, ...], ...] | None:
 
 
 def _generate(argv) -> int:
+    # loaded only here: an analysis run needs neither the generator nor
+    # the oracles it checks scripts with
+    from . import synth
+
     args = _generator_parser().parse_args(argv)
     if args.marathon:
         if args.truth is not None:
-            raise InfeasibleScriptError(
+            raise synth.InfeasibleScriptError(
                 "marathon mode is jittered field data; it has no scripted "
                 "ground truth to write"
             )
-        events = generate_field(
+        events = synth.generate_field(
             args.athletes,
             args.cps,
             seed=args.seed,
@@ -446,7 +455,7 @@ def _generate(argv) -> int:
         )
     else:
         params = Params(epsilon=args.epsilon, m=args.min_group, mu=args.mu)
-        config = GeneratorConfig(
+        config = synth.GeneratorConfig(
             n_athletes=args.athletes,
             n_cps=args.cps,
             params=params,
@@ -456,13 +465,13 @@ def _generate(argv) -> int:
             seed=args.seed,
             scripts=_parse_scripts(args.script),
         )
-        events, truth = generate(config)
+        events, truth = synth.generate(config)
         if args.truth:
             with open(args.truth, "w") as fh:
                 write_ground_truth(fh, truth)
     write_events(args.events, events)
     if args.course:
-        write_course(args.course, course_points(args.cps, args.course_length))
+        write_course(args.course, synth.course_points(args.cps, args.course_length))
     print(
         f"generated events={len(events)} athletes={args.athletes} "
         f"cps={args.cps} seed={args.seed} path={args.events}"

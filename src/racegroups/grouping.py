@@ -32,7 +32,6 @@ Finished groups are immutable and may be read concurrently.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from operator import neg
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -53,8 +52,7 @@ ANOMALY_SKIPPED = "skipped-cp"
 ANOMALY_PACE = "pace-jump"
 
 
-@dataclass(frozen=True)
-class AnomalyRecord:
+class AnomalyRecord(NamedTuple):
     athlete: int
     kind: str
     cp: int

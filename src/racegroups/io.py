@@ -19,15 +19,16 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Iterable, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, TextIO
 
 from .core import Event
 from .longterm import LONGTERM_KINDS
 from .patterns import KINDS
-from .synth import GroundTruth
+
+if TYPE_CHECKING:
+    from .synth import GroundTruth
 
 LONG_HEADER = ("athlete_id", "control_point", "time_ms")
 
@@ -49,8 +50,7 @@ class MalformedInputError(ValueError):
     """The file yielded no usable events."""
 
 
-@dataclass(frozen=True)
-class RowIssue:
+class RowIssue(NamedTuple):
     line: int
     reason: str
 
@@ -338,6 +338,8 @@ def read_ground_truth(fh: TextIO) -> GroundTruth:
             longterm_edges[fields["kind"]] = int(fields["edges"])
         else:
             raise ValueError(f"line {lineno}: unknown record {record!r}")
+    from .synth import GroundTruth
+
     return GroundTruth(
         pair_counts=pair_counts,
         longterm_edges=longterm_edges,

@@ -30,7 +30,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .evolution import PairGraph
 from .grouping import GroupId
@@ -230,8 +230,7 @@ def compute_labels(graph: GlobalGraph) -> LongTermLabels:
     )
 
 
-@dataclass(frozen=True)
-class LongestResult:
+class LongestResult(NamedTuple):
     kind: str
     length_edges: int
     length_cps: int

@@ -39,7 +39,6 @@ a group that is not named by exactly one record is flagged:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .evolution import EdgeAdded, PairGraph
@@ -92,8 +91,7 @@ class PatternRecord(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
-class PatternSet:
+class PatternSet(NamedTuple):
     """Deduplicated records (plus corner diagnostics) for one cp pair."""
 
     pair: tuple[int, int]

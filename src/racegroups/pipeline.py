@@ -15,6 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
+from typing import NamedTuple
 
 from .core import Params
 from .evolution import GraphStack, PairGraph
@@ -76,8 +77,7 @@ class RunConfig:
                 raise ValueError("course distances must increase with the index")
 
 
-@dataclass
-class StageTimings:
+class StageTimings(NamedTuple):
     """Wall-clock seconds per stage of run(), which starts from parsed
     and sorted events."""
 
@@ -91,8 +91,7 @@ class StageTimings:
         return self.events / self.grouping_s if self.grouping_s > 0 else 0.0
 
 
-@dataclass(frozen=True)
-class AthleteStatus:
+class AthleteStatus(NamedTuple):
     """Where one athlete stands, accurate up to their last crossing."""
 
     athlete: int
@@ -104,8 +103,7 @@ class AthleteStatus:
     history: tuple[str, ...]  # one token per cp: g<cp>.<ordinal>, solo, absent
 
 
-@dataclass(frozen=True)
-class GroupStats:
+class GroupStats(NamedTuple):
     cp: int
     n_components: int
     n_groups: int
@@ -333,8 +331,7 @@ def _history_token(cp: int, code: int) -> str:
     return "absent"
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     analysis: RaceAnalysis
     pattern_sets: dict[int, PatternSet]
     labels: LongTermLabels
@@ -356,7 +353,6 @@ class RunResult:
 
 def run(events, config: RunConfig) -> RunResult:
     """The whole pipeline over an already sorted event stream."""
-    timings = StageTimings()
     analysis = RaceAnalysis(config)
 
     t0 = _time.perf_counter()
@@ -370,22 +366,22 @@ def run(events, config: RunConfig) -> RunResult:
     longest = longest_all(graph, labels)
     t3 = _time.perf_counter()
 
-    timings.grouping_s = t1 - t0
-    timings.patterns_s = t2 - t1
-    timings.longterm_s = t3 - t2
-    timings.events = analysis.engine.events_accepted
     return RunResult(
         analysis=analysis,
         pattern_sets=pattern_sets,
         labels=labels,
         longest=longest,
         stats=analysis.group_stats(),
-        timings=timings,
+        timings=StageTimings(
+            grouping_s=t1 - t0,
+            patterns_s=t2 - t1,
+            longterm_s=t3 - t2,
+            events=analysis.engine.events_accepted,
+        ),
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     epsilon: int
     component_counts: tuple[tuple[int, int], ...]  # (cp, components)
     pattern_totals: tuple[tuple[str, int], ...]  # kind -> records, KINDS order

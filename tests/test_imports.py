@@ -1,0 +1,73 @@
+"""What a process loads: an analysis run imports only the analysis
+layers, and the package's lazy exports still resolve."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).parent.parent / "src"
+
+
+def _fresh(code: str):
+    """Run code in a new interpreter that imports this checkout; return
+    what it printed as JSON."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), path]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+_LOADED = """
+import json, sys
+{}
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("racegroups"))))
+"""
+
+
+def test_analysis_run_loads_only_the_analysis_layers():
+    loaded = _fresh(
+        _LOADED.format(
+            "from racegroups.core import Mu, Params\n"
+            "from racegroups.pipeline import RaceAnalysis, RunConfig"
+        )
+    )
+    assert "racegroups.pipeline" in loaded
+    for module in ("io", "synth", "oracles", "cli"):
+        assert f"racegroups.{module}" not in loaded
+
+
+def test_cli_loads_no_generator():
+    loaded = _fresh(_LOADED.format("import racegroups.cli"))
+    assert "racegroups.io" in loaded
+    assert "racegroups.synth" not in loaded
+    assert "racegroups.oracles" not in loaded
+
+
+def test_every_export_resolves():
+    bound, missing, unknown = _fresh(
+        """
+import json
+import racegroups
+names = {}
+exec("from racegroups import *", names)
+missing = [n for n in racegroups.__all__ if getattr(racegroups, n, None) is None]
+try:
+    racegroups.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps([sorted(set(names) - {"__builtins__"}), missing, unknown]))
+"""
+    )
+    import racegroups
+
+    assert bound == sorted(racegroups.__all__)
+    assert missing == []
+    assert unknown == "module 'racegroups' has no attribute 'no_such_name'"

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from racegroups.core import Event, Mu, Params
+import racegroups.cli as cli
 import racegroups.io as rio
 from racegroups.cli import main
 from racegroups.grouping import ANOMALY_PACE, ANOMALY_SKIPPED
@@ -958,6 +959,31 @@ class TestCli:
         path, _ = race_file
         rc, _, err = run_cli(["--input", path, "--report", "gossip"])
         assert rc == 1 and "gossip" in err
+
+    def test_unknown_athlete_exits_before_any_record(self, race_file):
+        path, _ = race_file
+        rc, out, err = run_cli(
+            [
+                "--input", path,
+                "--out", "records",
+                "--report", "summary,status",
+                "--athlete", "0",
+                "--athlete", "999999",
+            ]
+        )
+        assert rc == 1 and out == ""
+        assert "unknown athlete 999999" in err
+
+    @pytest.mark.parametrize("sweep", ["1000,x", "1000,-5", "1000,"])
+    def test_bad_epsilon_sweep_exits_before_reading(self, race_file, monkeypatch, sweep):
+        path, _ = race_file
+        reads = []
+        monkeypatch.setattr(cli, "read_events", lambda *args: reads.append(args))
+        rc, out, err = run_cli(
+            ["--input", path, "--out", "records", "--epsilon-sweep", sweep]
+        )
+        assert rc == 1 and out == "" and reads == []
+        assert err.startswith("error: --epsilon-sweep: ")
 
     def test_infeasible_script_exits_nonzero(self, tmp_path):
         rc, _, err = run_cli(
