@@ -101,6 +101,19 @@ def _main(argv) -> int:
 # -- analysis ------------------------------------------------------------
 
 
+def _argument(parse):
+    """An argparse type from parse, reporting its ValueError's message:
+    argparse would only name the function."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
 def _analysis_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="racegroups", description="group evolution analysis for races"
@@ -119,7 +132,10 @@ def _analysis_parser() -> argparse.ArgumentParser:
         "--min-group", type=int, default=DEFAULT_MIN_GROUP, help="group threshold"
     )
     parser.add_argument(
-        "--mu", type=Mu.parse, default=DEFAULT_MU, help="relation threshold, P/Q or decimal"
+        "--mu",
+        type=_argument(Mu.parse),
+        default=DEFAULT_MU,
+        help="relation threshold, P/Q or decimal",
     )
     parser.add_argument(
         "--report",
@@ -143,7 +159,7 @@ def _analysis_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--pace-factor",
-        type=parse_ratio,
+        type=_argument(parse_ratio),
         default=DEFAULT_PACE_FACTOR,
         help="pace-jump sensitivity, P/Q or decimal",
     )
@@ -167,13 +183,14 @@ def _analyze(argv) -> int:
             raise ValueError(f"--epsilon-sweep: {exc}") from None
 
     t0 = _time.perf_counter()
-    events, issues = read_events(args.input, args.format)
     course = read_course(args.course) if args.course else None
+    # the course and the pace factor are checked before the events are read
+    config = RunConfig(params=params, course=course, pace_factor=args.pace_factor)
+    events, issues = read_events(args.input, args.format)
     ingest_s = _time.perf_counter() - t0
     for issue in issues:
         print(f"warning: {args.input}: {issue}", file=sys.stderr)
 
-    config = RunConfig(params=params, course=course, pace_factor=args.pace_factor)
     result = run(events, config)
     if "status" in reports:
         # read before any output: an unknown athlete fails with none
@@ -401,7 +418,7 @@ def _generator_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--epsilon", type=int, default=DEFAULT_EPSILON_MS)
     parser.add_argument("--min-group", type=int, default=DEFAULT_MIN_GROUP)
-    parser.add_argument("--mu", type=Mu.parse, default=DEFAULT_MU)
+    parser.add_argument("--mu", type=_argument(Mu.parse), default=DEFAULT_MU)
     parser.add_argument(
         "--script",
         action="append",

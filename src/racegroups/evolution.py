@@ -77,8 +77,17 @@ class PairGraph:
         assert ordinal == len(self.right_sizes)
         self.right_sizes.append(size)
         added: list[EdgeAdded] = []
+        num, den = self.mu.num, self.mu.den  # the tests of Mu.covers, inline
         for left, weight in counts.items():
-            self._promote(left, ordinal, weight, added)
+            part = den * weight
+            if part >= num * self.left_sizes[left]:
+                self.fwd[left] = ordinal
+                self.fwd_in.setdefault(ordinal, []).append((left, weight))
+                added.append(tuple.__new__(EdgeAdded, (left, ordinal, True)))
+            if part >= num * size:
+                self.bwd[ordinal] = left
+                self.bwd_in.setdefault(left, []).append((ordinal, weight))
+                added.append(tuple.__new__(EdgeAdded, (left, ordinal, False)))
         return added
 
     def add_left(self, ordinal: int, size: int, counts: dict[int, int]) -> list[EdgeAdded]:
@@ -87,22 +96,18 @@ class PairGraph:
         assert ordinal == len(self.left_sizes)
         self.left_sizes.append(size)
         added: list[EdgeAdded] = []
+        num, den = self.mu.num, self.mu.den
         for right, weight in counts.items():
-            self._promote(ordinal, right, weight, added)
+            part = den * weight
+            if part >= num * size:
+                self.fwd[ordinal] = right
+                self.fwd_in.setdefault(right, []).append((ordinal, weight))
+                added.append(tuple.__new__(EdgeAdded, (ordinal, right, True)))
+            if part >= num * self.right_sizes[right]:
+                self.bwd[right] = ordinal
+                self.bwd_in.setdefault(ordinal, []).append((right, weight))
+                added.append(tuple.__new__(EdgeAdded, (ordinal, right, False)))
         return added
-
-    def _promote(
-        self, left: int, right: int, weight: int, added: list[EdgeAdded]
-    ) -> None:
-        """Add the relation edges this exact intersection supports."""
-        if self.mu.covers(weight, self.left_sizes[left]):
-            self.fwd[left] = right
-            self.fwd_in.setdefault(right, []).append((left, weight))
-            added.append(EdgeAdded(left, right, True))
-        if self.mu.covers(weight, self.right_sizes[right]):
-            self.bwd[right] = left
-            self.bwd_in.setdefault(left, []).append((right, weight))
-            added.append(EdgeAdded(left, right, False))
 
     # -- queries --------------------------------------------------------
 
@@ -165,13 +170,14 @@ class GraphStack:
         """before and after are the group's FinishedComponent counts.
         Returns the edges each affected pair gained, for the pattern
         tracker."""
-        cp, ordinal = group.id
+        (cp, ordinal), members, _, _ = group
+        size = len(members)
         updates: list[tuple[PairGraph, list[EdgeAdded]]] = []
         if cp > 0:
             pair = self.pair(cp - 1)
-            updates.append((pair, pair.add_right(ordinal, group.size, before)))
+            updates.append((pair, pair.add_right(ordinal, size, before)))
         left_pair = self.pair(cp)
-        updates.append((left_pair, left_pair.add_left(ordinal, group.size, after)))
+        updates.append((left_pair, left_pair.add_left(ordinal, size, after)))
         return updates
 
     def on_failed_component(self, cp: int) -> None:

@@ -297,7 +297,8 @@ class GroupingEngine:
             if bucket is None:
                 bucket = self.groups[cp] = []
             ordinal = len(bucket)
-            group = Group((cp, ordinal), members, t_first, t_last)
+            # tuple.__new__ skips the Python-level __new__ of a NamedTuple call
+            group = tuple.__new__(Group, ((cp, ordinal), members, t_first, t_last))
             bucket.append(group)
             for slot in slots:
                 column[slot] = ordinal
@@ -313,14 +314,14 @@ class GroupingEngine:
                         pending += 1
                 if pending:
                     self._active[cp - 1][4][ordinal] = pending
-            return FinishedComponent(cp, members, group, before, after)
+            return tuple.__new__(FinishedComponent, (cp, members, group, before, after))
         bucket = self.outliers.get(cp)
         if bucket is None:
             bucket = self.outliers[cp] = []
         bucket.extend(members)
         for slot in slots:
             column[slot] = OUTLIER
-        return FinishedComponent(cp, members, None, {}, {})
+        return tuple.__new__(FinishedComponent, (cp, members, None, {}, {}))
 
     # -- read access ---------------------------------------------------
 

@@ -67,6 +67,8 @@ KINDS = (
 )
 _KIND_RANK = {kind: i for i, kind in enumerate(KINDS)}
 
+_new = tuple.__new__  # a record built without a NamedTuple call's Python-level __new__
+
 FLAG_UNCLASSIFIED = "unclassified-source"
 FLAG_DOUBLE_SOURCE = "doubly-owned-source"
 FLAG_DOUBLE_TARGET = "doubly-owned-target"
@@ -112,31 +114,36 @@ class IncompletePairError(RuntimeError):
 
 
 def _survives_record(pair: PairGraph, left: int, right: int) -> PatternRecord:
-    lcp, rcp = pair.left_cp, pair.right_cp
-    absorbed = tuple(
-        sorted((lcp, o) for o, _ in pair.fwd_in.get(right, ()) if o != left)
+    lcp = pair.left_cp
+    rcp = lcp + 1
+    parents = pair.fwd_in[right]
+    children = pair.bwd_in[left]
+    # each in-list holds the strong partner itself
+    absorbed = (
+        tuple(sorted((lcp, o) for o, _ in parents if o != left))
+        if len(parents) > 1
+        else ()
     )
-    spawned = tuple(
-        sorted((rcp, r) for r, _ in pair.bwd_in.get(left, ()) if r != right)
+    spawned = (
+        tuple(sorted((rcp, r) for r, _ in children if r != right))
+        if len(children) > 1
+        else ()
     )
-    return PatternRecord(
-        SURVIVES,
-        (lcp, rcp),
-        source=(lcp, left),
-        target=(rcp, right),
-        absorbed=absorbed,
-        spawned=spawned,
+    return _new(
+        PatternRecord,
+        (SURVIVES, (lcp, rcp), (lcp, left), (rcp, right), (), (), absorbed, spawned),
     )
 
 
 def classify_target(pair: PairGraph, right: int) -> PatternRecord:
     """The single record owning right group `right` of this pair."""
-    lcp, rcp = pair.left_cp, pair.right_cp
-    parents = pair.fwd_in.get(right, ())
+    lcp = pair.left_cp
+    rcp = lcp + 1
+    parents = pair.fwd_in.get(right)
     left = pair.bwd.get(right)
     if not parents:
         if left is None:
-            return PatternRecord(APPEARS, (lcp, rcp), target=(rcp, right))
+            return _new(PatternRecord, (APPEARS, (lcp, rcp), None, (rcp, right), (), (), (), ()))
         strong_right = pair.strong_partner_of_left(left)
         if strong_right is not None:
             # the source survives elsewhere; this target is one of its
@@ -144,31 +151,22 @@ def classify_target(pair: PairGraph, right: int) -> PatternRecord:
             return _survives_record(pair, left, strong_right)
         children = pair.bwd_in[left]
         if len(children) == 1:
-            return PatternRecord(
-                SHRINKS, (lcp, rcp), source=(lcp, left), target=(rcp, right)
+            return _new(
+                PatternRecord, (SHRINKS, (lcp, rcp), (lcp, left), (rcp, right), (), (), (), ())
             )
         covered = sum(w for _, w in children)
         kind = SPLITS if pair.mu.covers(covered, pair.left_sizes[left]) else DISBANDS
-        return PatternRecord(
-            kind,
-            (lcp, rcp),
-            source=(lcp, left),
-            targets=tuple(sorted((rcp, r) for r, _ in children)),
-        )
+        targets = tuple(sorted((rcp, r) for r, _ in children))
+        return _new(PatternRecord, (kind, (lcp, rcp), (lcp, left), None, (), targets, (), ()))
     if left is not None and pair.fwd.get(left) == right:
         return _survives_record(pair, left, right)
     if len(parents) == 1:
-        return PatternRecord(
-            EXPANDS, (lcp, rcp), source=(lcp, parents[0][0]), target=(rcp, right)
-        )
+        source = (lcp, parents[0][0])
+        return _new(PatternRecord, (EXPANDS, (lcp, rcp), source, (rcp, right), (), (), (), ()))
     covered = sum(w for _, w in parents)
     kind = MERGES if pair.mu.covers(covered, pair.right_sizes[right]) else COHERES
-    return PatternRecord(
-        kind,
-        (lcp, rcp),
-        sources=tuple(sorted((lcp, o) for o, _ in parents)),
-        target=(rcp, right),
-    )
+    sources = tuple(sorted((lcp, o) for o, _ in parents))
+    return _new(PatternRecord, (kind, (lcp, rcp), None, (rcp, right), sources, (), (), ()))
 
 
 def _pattern_set(
@@ -177,25 +175,51 @@ def _pattern_set(
     """The pair's records - the given target records plus Disappears -
     sorted, with the corner flags, all read off how many of the records
     name each group: a left group that none names disappears unless it
-    has a backward child."""
-    lcp, rcp = pair.left_cp, pair.right_cp
-    records = set(target_records)
+    has a backward child.
+
+    A record names its source or its sources, and its target or its
+    targets, never both.  The records are sorted by kind, first source
+    ordinal (-1 for none) and first target ordinal, one integer key
+    each.  That is the order
+    of PatternRecord.sort_key: within one kind no two records share a
+    first source or a first target, since a group has at most one
+    out-edge each way and groups at one control point are disjoint."""
+    lcp = pair.left_cp
+    rcp = lcp + 1
     left_names = [0] * len(pair.left_sizes)
     right_names = [0] * len(pair.right_sizes)
-    for rec in records:
-        if rec.source is not None:
-            left_names[rec.source[1]] += 1
-        for _, left in rec.sources:
-            left_names[left] += 1
-        for _, left in rec.absorbed:
-            left_names[left] += 1
-        if rec.target is not None:
-            right_names[rec.target[1]] += 1
-        for _, right in rec.targets:
-            right_names[right] += 1
-        for _, right in rec.spawned:
-            right_names[right] += 1
+    span = max(len(left_names), len(right_names)) + 1  # above any ordinal + 1
+    keyed: list[tuple[int, PatternRecord]] = []
+    for rec in set(target_records):
+        kind, _, source, target, sources, targets, absorbed, spawned = rec
+        if source is not None:
+            first_source = source[1]
+            left_names[first_source] += 1
+        elif sources:
+            first_source = sources[0][1]
+            for _, left in sources:
+                left_names[left] += 1
+        else:
+            first_source = -1
+        if target is not None:
+            first_target = target[1]
+            right_names[first_target] += 1
+        elif targets:
+            first_target = targets[0][1]
+            for _, right in targets:
+                right_names[right] += 1
+        else:
+            first_target = -1
+        if absorbed:
+            for _, left in absorbed:
+                left_names[left] += 1
+        if spawned:
+            for _, right in spawned:
+                right_names[right] += 1
+        key = (_KIND_RANK[kind] * span + first_source + 1) * span + first_target + 1
+        keyed.append((key, rec))
     flags: list[tuple[str, GroupId]] = []
+    disappears = _KIND_RANK[DISAPPEARS] * span
     for left, names in enumerate(left_names):
         if names > 1:
             flags.append((FLAG_DOUBLE_SOURCE, (lcp, left)))
@@ -203,15 +227,17 @@ def _pattern_set(
             if pair.bwd_in.get(left):
                 flags.append((FLAG_UNCLASSIFIED, (lcp, left)))
             else:
-                records.add(
-                    PatternRecord(DISAPPEARS, (lcp, rcp), source=(lcp, left))
+                rec = _new(
+                    PatternRecord, (DISAPPEARS, (lcp, rcp), (lcp, left), None, (), (), (), ())
                 )
+                keyed.append(((disappears + left + 1) * span, rec))
     for right, names in enumerate(right_names):
         if names > 1:
             flags.append((FLAG_DOUBLE_TARGET, (rcp, right)))
+    keyed.sort()
     return PatternSet(
         pair=(lcp, rcp),
-        records=tuple(sorted(records, key=PatternRecord.sort_key)),
+        records=tuple([rec for _, rec in keyed]),
         flags=tuple(sorted(flags)),
         finalized=finalized,
     )

@@ -41,6 +41,8 @@ from .patterns import (
     IncompletePairError,
     PatternSet,
     PatternTracker,
+    _pattern_set,
+    classify_target,
     detect_patterns,
 )
 
@@ -157,7 +159,7 @@ class RaceAnalysis:
         if not self.engine._finalized:
             raise IncompletePairError(
                 "pattern sets are final only after finalize(); "
-                "online, tracker.snapshot(pair) gives the transitory records"
+                "snapshot(left_cp) gives the transitory records"
             )
         pairs = self.pairs()
         if self.tracker is not None:
@@ -165,6 +167,20 @@ class RaceAnalysis:
                 self._sealed_sets = self.tracker.seal(pairs)
             return self._sealed_sets
         return {pair.left_cp: detect_patterns(pair) for pair in pairs}
+
+    def snapshot(self, left_cp: int) -> PatternSet:
+        """The records of the pair (left_cp, left_cp + 1) as it stands,
+        classified when read, in either mode.  They are final, and the
+        set says so, once the race is finalized; a pair with no group
+        yet reads empty and is not created."""
+        pair = self.stack.pairs.get(left_cp)
+        if pair is None:
+            pair = PairGraph(left_cp, self.stack.mu)
+        return _pattern_set(
+            pair,
+            (classify_target(pair, r) for r in range(len(pair.right_sizes))),
+            finalized=self.engine._finalized,
+        )
 
     def global_graph(self) -> GlobalGraph:
         """The pairs as one graph.  A race seen at one control point

@@ -985,6 +985,41 @@ class TestCli:
         assert rc == 1 and out == "" and reads == []
         assert err.startswith("error: --epsilon-sweep: ")
 
+    @pytest.mark.parametrize(
+        "args, code, reason",
+        [
+            (["--mu", "0.3"], 2, "argument --mu: mu must be > 1/2, got 3/10\n"),
+            (["--mu", "most"], 2, "argument --mu: cannot parse a ratio from 'most'\n"),
+            (
+                ["--pace-factor", "1/0"],
+                2,
+                "argument --pace-factor: cannot parse a ratio from '1/0'\n",
+            ),
+            (["--pace-factor", "0.9"], 1, "error: pace factor must exceed 1\n"),
+        ],
+        ids=["mu-half-or-less", "mu-no-ratio", "pace-zero-denominator", "pace-below-one"],
+    )
+    def test_bad_ratio_exits_before_reading(self, race_file, monkeypatch, args, code, reason):
+        path, _ = race_file
+        reads = []
+        monkeypatch.setattr(cli, "read_events", lambda *args: reads.append(args))
+        out, err = _io.StringIO(), _io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                rc = main(["--input", path, *args])
+            except SystemExit as exc:  # argparse's usage error
+                rc = exc.code
+        assert rc == code and out.getvalue() == "" and reads == []
+        assert err.getvalue().endswith(reason)
+
+    def test_generator_bad_mu_says_why(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--athletes", "25", "--cps", "3", "--mu", "1/2",
+                  "--events", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("argument --mu: mu must be > 1/2, got 1/2\n")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_infeasible_script_exits_nonzero(self, tmp_path):
         rc, _, err = run_cli(
             [

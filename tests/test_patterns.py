@@ -1,4 +1,5 @@
-"""Branch classification, corner diagnostics, and the online tracker."""
+"""Branch classification, corner diagnostics, the online tracker and
+snapshots read on demand."""
 
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ from conftest import (
     slow_tail_streams,
 )
 from racegroups.core import Event, Mu, Params
-from racegroups.evolution import PairGraph
+from racegroups.evolution import EdgeAdded, PairGraph
+from racegroups.grouping import FinishedComponent, Group
 from racegroups.oracles import oracle_patterns
 from racegroups.patterns import (
     APPEARS,
@@ -30,11 +32,12 @@ from racegroups.patterns import (
     SURVIVES,
     IncompletePairError,
     PatternRecord,
+    PatternSet,
     _pattern_set,
     classify_target,
     detect_patterns,
 )
-from racegroups.pipeline import MODE_ONLINE, RaceAnalysis, RunConfig
+from racegroups.pipeline import MODE_ONLINE, MODES, RaceAnalysis, RunConfig
 
 MU = Mu(7, 10)
 
@@ -399,7 +402,7 @@ class TestOnlineTracker:
     def test_snapshot_after_every_group_matches_pair(self, case):
         """After every finished group, each pair it touched snapshots,
         records and flags, to a fresh classification of that pair's
-        current state."""
+        current state, which RaceAnalysis.snapshot reads too."""
         events, params = case
         analysis = RaceAnalysis(RunConfig(params=params, mode=MODE_ONLINE))
         tracker = analysis.tracker
@@ -414,6 +417,7 @@ class TestOnlineTracker:
                     finalized=False,
                 )
                 assert tracker.snapshot(pair) == fresh
+                assert analysis.snapshot(pair.left_cp) == fresh
 
         tracker.on_group = on_group_then_check
         analysis.ingest(events)
@@ -440,3 +444,114 @@ class TestOnlineTracker:
                 len(pair.left_sizes),
                 len(pair.right_sizes),
             )
+
+
+@st.composite
+def batched_races(draw):
+    """One of the three race strategies, cut into ingest() batches, in
+    either mode."""
+    events, params = draw(
+        st.one_of(cohort_streams(), overlapping_streams(), slow_tail_streams())
+    )
+    cuts = sorted(draw(st.lists(st.integers(0, len(events)), max_size=4)))
+    return events, cuts, RunConfig(params=params, mode=draw(st.sampled_from(MODES)))
+
+
+def feed(analysis, events, cuts):
+    """Ingest events in the batches the cuts make; yields after each."""
+    start = 0
+    for cut in cuts + [len(events)]:
+        analysis.ingest(events[start:cut])
+        start = max(start, cut)
+        yield
+
+
+class TestSnapshot:
+    @settings(max_examples=150, deadline=None)
+    @given(batched_races())
+    def test_snapshot_after_finalize_is_detect_patterns(self, race):
+        events, cuts, config = race
+        analysis = RaceAnalysis(config)
+        for _ in feed(analysis, events, cuts):
+            pass
+        analysis.finalize()
+        pairs = analysis.pairs()
+        for pair in pairs:
+            assert analysis.snapshot(pair.left_cp) == detect_patterns(pair)
+        assert analysis.pattern_sets() == {
+            pair.left_cp: analysis.snapshot(pair.left_cp) for pair in pairs
+        }
+
+    @staticmethod
+    def check_absent_pair(analysis, finalized):
+        beyond = max(analysis.stack.pairs, default=0) + 1
+        assert analysis.snapshot(beyond) == PatternSet(
+            (beyond, beyond + 1), (), (), finalized
+        )
+        assert beyond not in analysis.stack.pairs
+
+    @settings(max_examples=50, deadline=None)
+    @given(batched_races())
+    def test_absent_pair_reads_empty(self, race):
+        events, cuts, config = race
+        analysis = RaceAnalysis(config)
+        for _ in feed(analysis, events, cuts):
+            self.check_absent_pair(analysis, finalized=False)
+        analysis.finalize()
+        self.check_absent_pair(analysis, finalized=True)
+
+
+def assert_whole(record, cls):
+    """A record built with tuple.__new__ is exactly its class, with
+    every field: that shortcut checks neither."""
+    assert type(record) is cls
+    assert len(record) == len(cls._fields)
+
+
+class TestShortcutConstruction:
+    """Groups, engine reports, relation edges and pattern records are
+    built with tuple.__new__ on the hot paths, and pattern sets sorted
+    by one integer key per record."""
+
+    @staticmethod
+    def check_set(pattern_set):
+        for rec in pattern_set.records:
+            assert_whole(rec, PatternRecord)
+        assert pattern_set.records == tuple(
+            sorted(pattern_set.records, key=PatternRecord.sort_key)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(batched_races())
+    @example(
+        (ABSORBED_AFTER_SPAWNED, [20], RunConfig(Params(2000, 3, MU), mode=MODE_ONLINE))
+    )
+    def test_records_are_whole_and_sorted(self, race):
+        events, cuts, config = race
+        analysis = RaceAnalysis(config)
+        dispatch, on_group = analysis._dispatch, analysis.stack.on_group
+
+        def checked_dispatch(finished):
+            assert_whole(finished, FinishedComponent)
+            dispatch(finished)
+
+        def checked_on_group(group, before, after):
+            updates = on_group(group, before, after)
+            for _, edges in updates:
+                for edge in edges:
+                    assert_whole(edge, EdgeAdded)
+            return updates
+
+        analysis._dispatch = checked_dispatch
+        analysis.stack.on_group = checked_on_group
+        for _ in feed(analysis, events, cuts):
+            for left_cp, pair in analysis.stack.pairs.items():
+                self.check_set(analysis.snapshot(left_cp))
+                if analysis.tracker is not None:
+                    self.check_set(analysis.tracker.snapshot(pair))
+        analysis.finalize()
+        for groups in analysis.engine.groups.values():
+            for group in groups:
+                assert_whole(group, Group)
+        for pattern_set in analysis.pattern_sets().values():
+            self.check_set(pattern_set)
