@@ -24,7 +24,6 @@ platform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, NamedTuple
 
@@ -49,14 +48,64 @@ def parse_ratio(text: str) -> Fraction:
         raise ValueError(f"cannot parse a ratio from {text!r}") from exc
 
 
-@dataclass(frozen=True)
-class Mu:
+def _integer(name: str, value) -> None:
+    """Refuse a field that is not an int (a bool is not one), so no
+    float reaches a threshold test."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+class _Frozen:
+    """Base of the immutable value classes: a subclass names its fields
+    in ``_fields``, keeps them in ``__slots__`` and sets them once, in
+    ``__init__``, through ``_set``.  Equality, hash and repr go over the
+    fields as a frozen dataclass's do (a field named with a leading
+    underscore stays out of the repr); assigning or deleting any
+    attribute raises AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields if name[0] != "_"
+        )
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Mu(_Frozen):
     """Relation threshold as an exact ratio num/den with 1/2 < mu <= 1."""
 
-    num: int
-    den: int
+    __slots__ = _fields = ("num", "den")
 
-    def __post_init__(self) -> None:
+    def __init__(self, num: int, den: int) -> None:
+        _integer("num", num)
+        _integer("den", den)
+        self._set(num, den)
         if self.den <= 0 or self.num <= 0:
             raise ValueError(f"mu must be a positive ratio, got {self.num}/{self.den}")
         if 2 * self.num <= self.den:
@@ -82,8 +131,7 @@ class Mu:
         return f"{self.num}/{self.den}"
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(_Frozen):
     """The three knobs of the whole analysis.
 
     epsilon: maximum time gap (ms) for two crossings to be directly
@@ -92,11 +140,14 @@ class Params:
     mu: weak-relation threshold.
     """
 
-    epsilon: int
-    m: int
-    mu: Mu
+    __slots__ = _fields = ("epsilon", "m", "mu")
 
-    def __post_init__(self) -> None:
+    def __init__(self, epsilon: int, m: int, mu: Mu) -> None:
+        _integer("epsilon", epsilon)
+        _integer("m", m)
+        if not isinstance(mu, Mu):
+            raise TypeError(f"mu must be a Mu, got {mu!r}")
+        self._set(epsilon, m, mu)
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be >= 0 ms, got {self.epsilon}")
         if self.m < 1:

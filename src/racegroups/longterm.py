@@ -27,11 +27,11 @@ nothing in the sweeps or the walk reads them.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, NamedTuple, Sequence
 
+from .core import _Frozen
 from .evolution import PairGraph
 from .grouping import GroupId
 
@@ -132,13 +132,15 @@ def build_global(pairs: Sequence[PairGraph]) -> GlobalGraph:
     return GlobalGraph(ordered, ordered[0].left_cp, counts)
 
 
-@dataclass(frozen=True)
-class LongTermLabels:
+class LongTermLabels(_Frozen):
     """Per-control-point label lists, indexed by group ordinal, one set
     per kind; lpS, lpF, lpB and lpR are the group-id tables."""
 
-    _first: int = field(repr=False)
-    _levels: dict[str, list[list[int]]] = field(repr=False)  # kind -> lists
+    _fields = ("_first", "_levels")
+    __slots__ = (*_fields, "__dict__")  # the tables are cached in __dict__
+
+    def __init__(self, _first: int, _levels: dict[str, list[list[int]]]) -> None:
+        self._set(_first, _levels)  # _levels: kind -> lists
 
     def _table(self, kind: str) -> Mapping[GroupId, int]:
         first = self._first

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import time as _time
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 from typing import NamedTuple
 
-from .core import Params
+from .core import Params, _Frozen, _integer
 from .evolution import GraphStack, PairGraph
 from .grouping import (
     ABSENT,
@@ -53,16 +52,19 @@ MODES = (MODE_FINALIZED, MODE_ONLINE)
 DEFAULT_PACE_FACTOR = Fraction(3, 2)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    params: Params
-    mode: str = MODE_FINALIZED
-    course: dict[int, int] | None = None  # cp -> meters from the start
-    # kept as an exact ratio; a float is read as its shortest repr, so
-    # 1.1 means 11/10
-    pace_factor: Fraction = DEFAULT_PACE_FACTOR
+class RunConfig(_Frozen):
+    __slots__ = _fields = ("params", "mode", "course", "pace_factor")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        params: Params,
+        mode: str = MODE_FINALIZED,
+        course: dict[int, int] | None = None,  # cp -> meters from the start
+        # kept as an exact ratio; a float is read as its shortest repr,
+        # so 1.1 means 11/10
+        pace_factor: Fraction = DEFAULT_PACE_FACTOR,
+    ) -> None:
+        self._set(params, mode, course, pace_factor)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         factor = self.pace_factor
@@ -71,7 +73,9 @@ class RunConfig:
             raise ValueError("pace factor must exceed 1")
         object.__setattr__(self, "pace_factor", factor)
         if self.course is not None:
-            for cp in self.course:
+            for cp, distance in self.course.items():
+                _integer("course control point", cp)
+                _integer(f"course distance at control point {cp}", distance)
                 if cp < 0:
                     raise ValueError(f"course control point {cp} is negative")
             meters = [m for _, m in sorted(self.course.items())]

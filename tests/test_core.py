@@ -1,10 +1,17 @@
-"""Inclusion-coefficient algebra: known values and set-theoretic properties."""
+"""Inclusion-coefficient algebra: known values and set-theoretic
+properties; the value classes that carry the analysis's parameters."""
+
+import copy
+import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racegroups.core import Mu, Params, inclusion, strongly_related, weakly_related
+from racegroups.longterm import LongTermLabels
+from racegroups.pipeline import RunConfig
 
 MU_7_10 = Mu(7, 10)
 
@@ -57,6 +64,133 @@ class TestParams:
             Params(epsilon=-1, m=1, mu=MU_7_10)
         with pytest.raises(ValueError):
             Params(epsilon=0, m=0, mu=MU_7_10)
+
+
+class TestIntegerFields:
+    """Every field a threshold test reads is an int, never a float or a
+    bool, and mu is a Mu; the wrong type is refused at construction."""
+
+    @pytest.mark.parametrize(
+        "build, field, value",
+        [
+            (lambda: Params(epsilon=2000.0, m=7, mu=MU_7_10), "epsilon", "2000.0"),
+            (lambda: Params(epsilon=2000, m=7.5, mu=MU_7_10), "m", "7.5"),
+            (lambda: Params(epsilon=True, m=True, mu=Mu(1, 1)), "epsilon", "True"),
+            (lambda: Params(epsilon=2000, m=True, mu=Mu(1, 1)), "m", "True"),
+            (lambda: Params(epsilon=2000, m=7, mu=(7, 10)), "mu", "(7, 10)"),
+            (lambda: Mu(0.7, 1), "num", "0.7"),
+            (lambda: Mu(7, 10.0), "den", "10.0"),
+            (lambda: Mu(True, True), "num", "True"),
+            (
+                lambda: RunConfig(
+                    params=Params(2000, 7, MU_7_10), course={0: 0.5, 1: 1000.25}
+                ),
+                "course distance at control point 0",
+                "0.5",
+            ),
+            (
+                lambda: RunConfig(params=Params(2000, 7, MU_7_10), course={0.0: 0, 1: 5}),
+                "course control point",
+                "0.0",
+            ),
+        ],
+        ids=[
+            "float-epsilon",
+            "float-m",
+            "bool-epsilon-and-m",
+            "bool-m",
+            "tuple-mu",
+            "float-num",
+            "float-den",
+            "bool-mu",
+            "float-distances",
+            "float-cp",
+        ],
+    )
+    def test_wrong_type_refused(self, build, field, value):
+        with pytest.raises(TypeError) as info:
+            build()
+        assert str(info.value).startswith(f"{field} must be ")
+        assert str(info.value).endswith(f"got {value}")
+
+    def test_out_of_range_keeps_its_value_error(self):
+        with pytest.raises(ValueError, match="epsilon must be >= 0 ms, got -1"):
+            Params(epsilon=-1, m=7, mu=MU_7_10)
+        with pytest.raises(ValueError, match=r"mu must be > 1/2, got 1/2"):
+            Mu(1, 2)
+        with pytest.raises(ValueError, match="control point -1 is negative"):
+            RunConfig(params=Params(2000, 7, MU_7_10), course={-1: 0, 1: 5})
+
+
+PARAMS = Params(epsilon=2000, m=7, mu=MU_7_10)
+LEVELS = {"surviving": [[0, 1], [1]]}
+
+
+class TestValueSemantics:
+    """Equality, hash, repr, immutability and copying of the value
+    classes read as those of frozen dataclasses."""
+
+    def test_mu_by_value(self):
+        assert Mu(14, 20) == Mu(7, 10)
+        assert hash(Mu(14, 20)) == hash(Mu(7, 10))
+        assert Mu(7, 10) != (7, 10)
+        assert Mu(7, 10) != Mu(3, 4)
+
+    def test_params_and_config_by_value(self):
+        same = Params(epsilon=2000, m=7, mu=Mu(14, 20))
+        assert same == PARAMS and hash(same) == hash(PARAMS)
+        assert Params(epsilon=2000, m=8, mu=MU_7_10) != PARAMS
+        config = RunConfig(params=PARAMS, pace_factor=1.5)
+        assert config == RunConfig(params=same) and hash(config) == hash(RunConfig(same))
+        assert config != RunConfig(params=PARAMS, mode="online")
+        with_course = RunConfig(params=PARAMS, course={0: 0, 1: 5})
+        assert with_course == RunConfig(params=same, course={0: 0, 1: 5})
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(with_course)
+
+    def test_reprs(self):
+        assert repr(PARAMS) == "Params(epsilon=2000, m=7, mu=Mu(num=7, den=10))"
+        assert repr(RunConfig(params=PARAMS)) == (
+            "RunConfig(params=Params(epsilon=2000, m=7, mu=Mu(num=7, den=10)), "
+            "mode='finalized', course=None, pace_factor=Fraction(3, 2))"
+        )
+        assert repr(LongTermLabels(0, LEVELS)) == "LongTermLabels()"
+
+    @pytest.mark.parametrize(
+        "value, fields",
+        [
+            (MU_7_10, ("num", "den")),
+            (PARAMS, ("epsilon", "m", "mu")),
+            (RunConfig(params=PARAMS), ("params", "mode", "course", "pace_factor")),
+            (LongTermLabels(0, LEVELS), ("_first", "_levels")),
+        ],
+        ids=["Mu", "Params", "RunConfig", "LongTermLabels"],
+    )
+    def test_frozen(self, value, fields):
+        for name in fields + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+            assert hasattr(value, name)
+
+    def test_copy_and_pickle(self):
+        for value in (MU_7_10, PARAMS, RunConfig(params=PARAMS, course={0: 0, 1: 5})):
+            assert copy.copy(value) == value
+            assert copy.deepcopy(value) == value
+            assert pickle.loads(pickle.dumps(value)) == value
+        config = pickle.loads(pickle.dumps(RunConfig(params=PARAMS, pace_factor=1.1)))
+        assert config.pace_factor == Fraction(11, 10)
+
+    def test_labels_by_value_with_cached_tables(self):
+        labels = LongTermLabels(0, LEVELS)
+        twin = LongTermLabels(0, {"surviving": [[0, 1], [1]]})
+        assert labels.lpS is labels.lpS and "lpS" in vars(labels)
+        assert "lpS" not in vars(twin)
+        assert labels == twin
+        assert labels != LongTermLabels(1, LEVELS)
+        assert dict(labels.lpS) == {(0, 0): 0, (0, 1): 1, (1, 0): 1}
 
 
 class TestInclusion:

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).parent.parent / "src"
 
 
@@ -48,6 +50,36 @@ def test_cli_loads_no_generator():
     assert "racegroups.io" in loaded
     assert "racegroups.synth" not in loaded
     assert "racegroups.oracles" not in loaded
+
+
+_ADDED = """
+import json, sys
+before = set(sys.modules)
+{}
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+# the benchmark's library set-up probe
+_LIBRARY_SETUP = """
+from racegroups.core import Mu, Params
+from racegroups.pipeline import RaceAnalysis, RunConfig
+RaceAnalysis(RunConfig(params=Params(epsilon=2000, m=7, mu=Mu(7, 10)), mode={!r}))
+"""
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [_LIBRARY_SETUP.format("finalized"), _LIBRARY_SETUP.format("online"), "import racegroups.cli"],
+    ids=["library-finalized", "library-online", "cli"],
+)
+def test_no_dataclass_machinery(setup):
+    # the modules the set-up adds, so what site or a .pth file preloads
+    # does not count: no import of dataclasses, nor of the inspect
+    # module it loads
+    added = _fresh(_ADDED.format(setup))
+    assert "racegroups.pipeline" in added
+    assert "dataclasses" not in added
+    assert "inspect" not in added
 
 
 def test_every_export_resolves():
