@@ -35,8 +35,9 @@ from .io import (
     FORMAT_LONG,
     FORMAT_WIDE,
     MalformedInputError,
+    read_columns,
     read_course,
-    read_events,
+    read_events,  # unused here; bound for tools that wrap it on this module
     write_course,
     write_events,
     write_ground_truth,
@@ -58,9 +59,9 @@ REPORTS = ("summary", "patterns", "longterm", "status", "anomalies")
 
 def main(argv=None) -> int:
     # A run builds no reference cycles: reference counting frees all of
-    # it.  The cyclic collector would only rescan every event, since an
-    # Event (a tuple subclass) is never untracked, so it is paused for
-    # the run and resumed for an in-process caller.
+    # it.  The cyclic collector would only rescan the containers the run
+    # keeps, so it is paused for the run and resumed for an in-process
+    # caller.
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -186,12 +187,14 @@ def _analyze(argv) -> int:
     course = read_course(args.course) if args.course else None
     # the course and the pace factor are checked before the events are read
     config = RunConfig(params=params, course=course, pace_factor=args.pace_factor)
-    events, issues = read_events(args.input, args.format)
+    # the race as three int columns: run() and the sweep only iterate
+    # (athlete, cp, time) triples, so no Event is built
+    columns, issues = read_columns(args.input, args.format)
     ingest_s = _time.perf_counter() - t0
     for issue in issues:
         print(f"warning: {args.input}: {issue}", file=sys.stderr)
 
-    result = run(events, config)
+    result = run(columns, config)
     if "status" in reports:
         # read before any output: an unknown athlete fails with none
         analysis = result.analysis
@@ -212,7 +215,7 @@ def _analyze(argv) -> int:
     if "anomalies" in reports:
         _emit_anomalies(out, text, result)
     if epsilons:
-        rows = epsilon_sweep(events, config, epsilons)
+        rows = epsilon_sweep(columns, config, epsilons)
         _emit_sweep(out, text, rows)
     return 0
 

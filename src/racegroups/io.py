@@ -12,6 +12,9 @@ Two input layouts are understood:
 The format is detected from the header when not forced.  Broken rows
 never abort a read: they are collected as issues with their line
 number, and only a file that yields no events at all is an error.
+
+A race is read into three int columns, athletes, control points and
+times (read_columns); read_events builds Event records from them.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from __future__ import annotations
 import csv
 import json
 import re
-from itertools import chain, repeat
-from operator import itemgetter
+from io import StringIO
+from itertools import chain, islice, repeat
+from operator import itemgetter, le
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, TextIO
 
 from .core import Event
@@ -35,13 +39,13 @@ LONG_HEADER = ("athlete_id", "control_point", "time_ms")
 FORMAT_LONG = "long"
 FORMAT_WIDE = "wide"
 
-# Long-form bodies are read in chunks of about this many characters.  A
-# chunk of bare `digits,digits,digits` lines parses in bulk, as one JSON
-# array; the first chunk that is anything else, or that JSON refuses,
-# sends the rest of the file row by row.  The memory a chunk's lines and
-# strings took stays resident after they are freed, so chunks are kept
-# small: 1 MiB chunks raised the peak RSS of a 480k-row read and sort by
-# 15 MB over 64 KiB ones, and read no faster.
+# Long-form bodies are read in chunks of about this many characters,
+# each ending with a line.  A chunk of bare `digits,digits,digits` lines
+# parses in bulk, as one JSON array; the first chunk that is anything
+# else, or that JSON refuses, sends the rest of the file row by row.
+# The memory a chunk took stays resident after it is freed, so chunks
+# are kept small: 1 MiB chunks raised the peak RSS of a 480k-row read
+# from 57 to 78 MB over 64 KiB ones, and read no faster.
 _CHUNK_BYTES = 1 << 16
 _BULK_CHUNK = re.compile(r"(?:[0-9]+,[0-9]+,[0-9]+\n)*")
 
@@ -108,10 +112,40 @@ def sniff_format(header: Sequence[str]) -> str:
     return FORMAT_WIDE
 
 
+class Columns:
+    """Events as three parallel int lists, one per field.  Iterating
+    yields plain ``(athlete, cp, time)`` tuples, afresh each time, so a
+    Columns can stand for an event stream that is read more than once,
+    as run() and epsilon_sweep() read theirs."""
+
+    __slots__ = ("athletes", "cps", "times")
+
+    def __init__(self) -> None:
+        self.athletes: list[int] = []
+        self.cps: list[int] = []
+        self.times: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __iter__(self):
+        return zip(self.athletes, self.cps, self.times)
+
+
 def read_events(
     path: str, fmt: str | None = None
 ) -> tuple[list[Event], list[RowIssue]]:
     """Events sorted by (time, cp, athlete), plus per-line issues.
+
+    Raises MalformedInputError when nothing could be read.
+    """
+    columns, issues = read_columns(path, fmt)
+    return list(map(tuple.__new__, repeat(Event), columns)), issues
+
+
+def read_columns(path: str, fmt: str | None = None) -> tuple[Columns, list[RowIssue]]:
+    """read_events' events as columns, in the same order, with the same
+    issues; no Event is built.
 
     Raises MalformedInputError when nothing could be read.
     """
@@ -124,53 +158,84 @@ def read_events(
         if fmt is None:
             fmt = sniff_format(header)
         if fmt == FORMAT_LONG:
-            events, issues = _read_long_chunks(fh)
+            columns, issues = _read_long_chunks(fh)
         elif fmt == FORMAT_WIDE:
-            events, issues = _read_wide(reader, n_cps=len(header) - 1)
+            columns, issues = _read_wide(reader, n_cps=len(header) - 1)
         else:
             raise ValueError(f"unknown input format {fmt!r}")
-    if not events:
+    if not columns:
         detail = f"; first issue: {issues[0]}" if issues else ""
         raise MalformedInputError(f"{path}: no usable rows{detail}")
-    events.sort(key=itemgetter(2, 1, 0))  # (time, cp, athlete)
-    return events, issues
+    _sort(columns)
+    return columns, issues
 
 
-def _read_long_chunks(fh) -> tuple[list[Event], list[RowIssue]]:
+def _sort(columns: Columns) -> None:
+    """Put the columns in (time, cp, athlete) order.
+
+    Input already in that order, as a race export usually is, is only
+    checked: comparing each row with the next allocates nothing, since
+    zip reuses a result tuple that nothing else holds.  Other input is
+    sorted as plain (time, cp, athlete) tuples, with no key function.
+    """
+    athletes, cps, times = columns.athletes, columns.cps, columns.times
+    rows = zip(times, cps, athletes)
+    after = zip(islice(times, 1, None), islice(cps, 1, None), islice(athletes, 1, None))
+    if all(map(le, rows, after)):
+        return
+    ordered = sorted(zip(times, cps, athletes))
+    columns.times = list(map(itemgetter(0), ordered))
+    columns.cps = list(map(itemgetter(1), ordered))
+    columns.athletes = list(map(itemgetter(2), ordered))
+
+
+def _read_long_chunks(fh) -> tuple[Columns, list[RowIssue]]:
     """The long-form body after its header, as _read_long reads it.
 
     A chunk that matches _BULK_CHUNK has no quotes, padding or blank
     lines, so its rows are its lines and its cells its digit runs: with
     its newlines turned into commas it is the body of a JSON array of
     integer literals, which json reads to the values int() gives, and
-    it becomes events without a Python-level step per row or cell.
-    json refuses a leading zero, and int() a cell past its digit
-    limit.  The first chunk that does not match or is refused goes,
-    with the rest of the file, through _read_long, its line numbers
-    shifted past the bulk-read lines.
+    every third cell from the first, second and third on extends the
+    athlete, control point and time column, without a Python-level
+    step per row or cell.  json refuses a leading zero, and int() a
+    cell past its digit limit.  The first chunk that does not match or
+    is refused goes, with the rest of the file, through _read_long, its
+    line numbers shifted past the bulk-read lines.
     """
-    events: list[Event] = []
+    columns = Columns()
+    athletes, cps, times = columns.athletes, columns.cps, columns.times
     n_lines = 0
-    while lines := fh.readlines(_CHUNK_BYTES):
-        text = "".join(lines).replace("\r\n", "\n")
+    # read() stops anywhere; readline() ends the chunk with its line
+    while chunk := fh.read(_CHUNK_BYTES):
+        chunk += fh.readline()
+        text = chunk.replace("\r\n", "\n")
         try:
             if _BULK_CHUNK.fullmatch(text) is None:
                 raise ValueError
-            cells = iter(json.loads("[" + text[:-1].replace("\n", ",") + "]"))
+            cells = json.loads("[" + text[:-1].replace("\n", ",") + "]")
         except ValueError:
+            # split as the file splits its lines (str.splitlines would
+            # also split at \x1c and the like)
+            lines = StringIO(chunk, newline="")
             rest, issues = _read_long(csv.reader(chain(lines, fh)))
-            events.extend(rest)
-            return events, [RowIssue(i.line + n_lines, i.reason) for i in issues]
-        events.extend(map(tuple.__new__, repeat(Event), zip(cells, cells, cells)))
-        n_lines += len(lines)
-    return events, []
+            athletes += rest.athletes
+            cps += rest.cps
+            times += rest.times
+            return columns, [RowIssue(i.line + n_lines, i.reason) for i in issues]
+        athletes += cells[0::3]
+        cps += cells[1::3]
+        times += cells[2::3]
+        n_lines += text.count("\n")
+    return columns, []
 
 
-def _read_long(reader) -> tuple[list[Event], list[RowIssue]]:
-    events: list[Event] = []
+def _read_long(reader) -> tuple[Columns, list[RowIssue]]:
+    columns = Columns()
     issues: list[RowIssue] = []
-    append = events.append
-    new = tuple.__new__  # Event(...) runs a Python-level __new__ per row
+    add_athlete = columns.athletes.append
+    add_cp = columns.cps.append
+    add_time = columns.times.append
     for lineno, row in enumerate(reader, start=2):
         try:
             athlete, cp, time = map(int, row)  # int() skips spaces and tabs
@@ -191,8 +256,10 @@ def _read_long(reader) -> tuple[list[Event], list[RowIssue]]:
         if cp < 0 or time < 0:
             issues.append(RowIssue(lineno, "negative control point or time"))
             continue
-        append(new(Event, (athlete, cp, time)))
-    return events, issues
+        add_athlete(athlete)
+        add_cp(cp)
+        add_time(time)
+    return columns, issues
 
 
 def _parse_long_row(row: list[str]) -> tuple[int, ...] | None:
@@ -207,8 +274,8 @@ def _parse_long_row(row: list[str]) -> tuple[int, ...] | None:
     return tuple(_parse_int(cell) for cell in row)
 
 
-def _read_wide(reader, n_cps: int) -> tuple[list[Event], list[RowIssue]]:
-    events: list[Event] = []
+def _read_wide(reader, n_cps: int) -> tuple[Columns, list[RowIssue]]:
+    columns = Columns()
     issues: list[RowIssue] = []
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
@@ -231,8 +298,10 @@ def _read_wide(reader, n_cps: int) -> tuple[list[Event], list[RowIssue]]:
             except ValueError as exc:
                 issues.append(RowIssue(lineno, f"cp {cp}: {exc}"))
                 continue
-            events.append(Event(athlete, cp, time))
-    return events, issues
+            columns.athletes.append(athlete)
+            columns.cps.append(cp)
+            columns.times.append(time)
+    return columns, issues
 
 
 def write_events(path: str, events: Iterable[Event]) -> None:

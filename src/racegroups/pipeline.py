@@ -52,6 +52,23 @@ MODES = (MODE_FINALIZED, MODE_ONLINE)
 DEFAULT_PACE_FACTOR = Fraction(3, 2)
 
 
+class _Course(dict):
+    """A RunConfig's own copy of its course: read as a dict, printed as
+    one, equal to one, and refusing every change, so the checks made
+    when the config was built keep holding."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a RunConfig's course is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return _Course, (dict(self),)
+
+
 class RunConfig(_Frozen):
     __slots__ = _fields = ("params", "mode", "course", "pace_factor")
 
@@ -64,6 +81,8 @@ class RunConfig(_Frozen):
         # so 1.1 means 11/10
         pace_factor: Fraction = DEFAULT_PACE_FACTOR,
     ) -> None:
+        if course is not None:
+            course = _Course(course)
         self._set(params, mode, course, pace_factor)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")

@@ -155,6 +155,34 @@ class TestValueSemantics:
             "mode='finalized', course=None, pace_factor=Fraction(3, 2))"
         )
         assert repr(LongTermLabels(0, LEVELS)) == "LongTermLabels()"
+        assert repr(RunConfig(params=PARAMS, course={0: 0, 1: 5})) == (
+            "RunConfig(params=Params(epsilon=2000, m=7, mu=Mu(num=7, den=10)), "
+            "mode='finalized', course={0: 0, 1: 5}, pace_factor=Fraction(3, 2))"
+        )
+
+    def test_course_copied_and_read_only(self):
+        course = {0: 0, 1: 5}
+        config = RunConfig(params=PARAMS, course=course)
+        course[1] = 0
+        del course[0]
+        assert config.course == {0: 0, 1: 5}
+        changes = [
+            lambda c: c.__setitem__(1, 0),
+            lambda c: c.__delitem__(0),
+            lambda c: c.__ior__({1: 0}),
+            lambda c: c.clear(),
+            lambda c: c.pop(0),
+            lambda c: c.popitem(),
+            lambda c: c.setdefault(2, 1),
+            lambda c: c.update({1: 0}),
+        ]
+        for change in changes:
+            with pytest.raises(TypeError, match="read-only"):
+                change(config.course)
+        assert config.course == {0: 0, 1: 5}
+        for copied in (copy.deepcopy(config), pickle.loads(pickle.dumps(config))):
+            with pytest.raises(TypeError, match="read-only"):
+                copied.course[1] = 0
 
     @pytest.mark.parametrize(
         "value, fields",

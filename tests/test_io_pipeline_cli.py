@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import gc
 import io as _io
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from operator import itemgetter
@@ -24,6 +25,7 @@ from racegroups.io import (
     RowIssue,
     format_clock,
     parse_clock,
+    read_columns,
     read_course,
     read_events,
     read_ground_truth,
@@ -196,12 +198,31 @@ def long_form_files(draw):
     return lines, draw(st.booleans()), endings, draw(st.booleans())
 
 
+def read_both(path, fmt=None):
+    """read_events' result, once read_columns has given the same rows,
+    field by field and in the same order, as plain ints, and the same
+    issues with the same line numbers."""
+    events, issues = read_events(path, fmt)
+    columns, column_issues = read_columns(path, fmt)
+    assert columns.athletes == [e.athlete for e in events]
+    assert columns.cps == [e.cp for e in events]
+    assert columns.times == [e.time for e in events]
+    for column in (columns.athletes, columns.cps, columns.times):
+        assert all(type(value) is int for value in column)
+    assert column_issues == issues
+    assert len(columns) == len(events)
+    # iterated afresh each time, as run() and epsilon_sweep() read it
+    assert list(columns) == list(columns) == events
+    assert all(type(row) is tuple for row in columns)
+    return events, issues
+
+
 class TestLongFormat:
     def test_round_trip_sorted(self, tmp_path):
         events, _ = scripted_events()
         path = tmp_path / "race.csv"
         write_events(path, events)
-        loaded, issues = read_events(str(path))
+        loaded, issues = read_both(str(path))
         assert issues == []
         assert loaded == events  # generator output is already canonical
 
@@ -216,7 +237,7 @@ class TestLongFormat:
             "4,-1,5\n"
             "5,0,2000\n"
         )
-        events, issues = read_events(str(path))
+        events, issues = read_both(str(path))
         assert [e.athlete for e in events] == [1, 5]
         assert [i.line for i in issues] == [3, 5, 6]
 
@@ -225,17 +246,18 @@ class TestLongFormat:
         path.write_text(
             "\ufeffathlete_id,control_point,time_ms\n1,0,1000\n", encoding="utf-8"
         )
-        assert read_events(str(path)) == ([Event(1, 0, 1000)], [])
+        assert read_both(str(path)) == ([Event(1, 0, 1000)], [])
 
     def test_fully_rejected_file_is_an_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("athlete_id,control_point,time_ms\na,b,c\n")
-        with pytest.raises(MalformedInputError):
-            read_events(str(path))
         empty = tmp_path / "empty.csv"
         empty.write_text("")
-        with pytest.raises(MalformedInputError):
-            read_events(str(empty))
+        for reader in (read_events, read_columns):
+            with pytest.raises(MalformedInputError):
+                reader(str(path))
+            with pytest.raises(MalformedInputError):
+                reader(str(empty))
 
     @settings(
         max_examples=150,
@@ -262,7 +284,7 @@ class TestLongFormat:
         if not terminated:
             body = body.removesuffix(endings[-1])
         path.write_bytes((("\ufeff" if bom else "") + body).encode("utf-8"))
-        got_events, got_issues = read_events(str(path))
+        got_events, got_issues = read_both(str(path))
         assert got_events == sorted(events, key=lambda e: (e.time, e.cp, e.athlete))
         assert all(type(e) is Event for e in got_events)
         assert got_issues == want_issues
@@ -315,8 +337,8 @@ def _read_by_rows(path):
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader)
-        events, issues = rio._read_long(reader)
-    return sorted(events, key=lambda e: (e.time, e.cp, e.athlete)), issues
+        columns, issues = rio._read_long(reader)
+    return sorted(map(Event._make, columns), key=lambda e: (e.time, e.cp, e.athlete)), issues
 
 
 class TestChunkedLongFormat:
@@ -332,10 +354,11 @@ class TestChunkedLongFormat:
         path.write_bytes(data)
         want_events, want_issues = _read_by_rows(path)
         if not want_events:
-            with pytest.raises(MalformedInputError):
-                read_events(str(path))
+            for reader in (read_events, read_columns):
+                with pytest.raises(MalformedInputError):
+                    reader(str(path))
             return
-        got_events, got_issues = read_events(str(path))
+        got_events, got_issues = read_both(str(path))
         assert got_events == want_events
         assert all(type(e) is Event for e in got_events)
         assert got_issues == want_issues
@@ -352,7 +375,7 @@ class TestChunkedLongFormat:
         assert rio._BULK_CHUNK.fullmatch(body.decode())
         path = tmp_path / "race.csv"
         path.write_bytes(b"athlete_id,control_point,time_ms\n" + body)
-        events, issues = read_events(str(path))
+        events, issues = read_both(str(path))
         assert (events, issues) == _read_by_rows(path)
         assert all(type(e) is Event for e in events)
 
@@ -364,7 +387,7 @@ class TestChunkedLongFormat:
             + b"".join(b"%d,0,%d\r\n" % (a, 1000 + a) for a in range(20))
             + b"21, 0,1100\r\nx,0,1\r\n22,0,1200"
         )
-        events, issues = read_events(str(path))
+        events, issues = read_both(str(path))
         assert [e.athlete for e in events] == [*range(20), 21, 22]
         assert issues == [
             RowIssue(23, "invalid literal for int() with base 10: 'x'")
@@ -445,7 +468,7 @@ class TestWideFormat:
             "7,01:00:00,02:00:00,03:00:00\n"
             "8,01:00:05,,03:00:05\n"
         )
-        events, issues = read_events(str(path))
+        events, issues = read_both(str(path))
         assert issues == []
         assert len(events) == 5  # empty cell: absent, no event
         assert Event(8, 1, 0) not in events
@@ -456,13 +479,13 @@ class TestWideFormat:
         path.write_text(
             "athlete_id,a,b\n9,01:00:00,02:00:00\n4,01:00:00,02:00:00\n"
         )
-        events, _ = read_events(str(path))
+        events, _ = read_both(str(path))
         assert [e.athlete for e in events] == [4, 9, 4, 9]
 
     def test_forced_format_overrides_sniffing(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("athlete_id,control_point,time_ms\n1,0,1000\n")
-        events, _ = read_events(str(path), fmt="long")
+        events, _ = read_both(str(path), fmt="long")
         assert events == [Event(1, 0, 1000)]
 
     @settings(
@@ -480,7 +503,7 @@ class TestWideFormat:
             body = body.removesuffix(endings[-1])
         path = tmp_path / "wide.csv"
         path.write_bytes((("\ufeff" if bom else "") + body).encode("utf-8"))
-        got_events, got_issues = read_events(str(path))
+        got_events, got_issues = read_both(str(path))
         want_events = [e for _, events, _ in rows for e in events]
         assert got_events == sorted(
             want_events, key=lambda e: (e.time, e.cp, e.athlete)
@@ -649,6 +672,24 @@ class TestPipeline:
         with pytest.raises(ValueError, match="course control point -1"):
             RunConfig(params=params, course=course)
 
+    def test_course_is_the_configs_own(self):
+        # a config once kept the caller's dict: changing it afterwards
+        # broke the increasing-distance check, and run() divided by a
+        # zero segment length in _pace
+        course = {0: 0, 1: 1000, 2: 2000}
+        params = Params(2000, 1, Mu(7, 10))
+        config = RunConfig(params=params, course=course)
+        course[2] = 1000
+        events = [Event(1, 0, 0), Event(1, 1, 300000), Event(1, 2, 900000)]
+        anomalies = run(events, config).analysis.anomalies()
+        assert [(r.athlete, r.kind, r.cp) for r in anomalies] == [
+            (1, ANOMALY_PACE, 2)
+        ]
+        assert config.course == {0: 0, 1: 1000, 2: 2000}
+        with pytest.raises(TypeError, match="read-only"):
+            config.course[2] = 1000
+        assert run(events, config).analysis.anomalies() == anomalies
+
     def test_status_pace_none_without_course(self):
         events, _ = scripted_events()
         result = run(events, RunConfig(params=PARAMS))
@@ -812,7 +853,7 @@ class TestCli:
         assert out_a == out_b
         assert "timing" not in out_a  # wall clock stays out of records
 
-    def _golden_run(self, tmp_path, first_id_padded=False):
+    def _golden_run(self, tmp_path, first_id_padded=False, reorder=None):
         race = tmp_path / "field.csv"
         write_events(race, generate_field(1000, 6, seed=11))
         if first_id_padded:  # JSON refuses the leading zero
@@ -821,6 +862,13 @@ class TestCli:
             race.write_bytes(data[:first] + b"0" + data[first:])
         with open(race, "a") as fh:
             fh.write("oops,1,2\n5,3\n")
+        bad = {
+            "oops,1,2": "invalid literal for int() with base 10: 'oops'",
+            "5,3": "expected 3 columns, got 2",
+        }
+        if reorder is not None:  # the body lines, the bad rows among them
+            header, *body = race.read_text().splitlines(keepends=True)
+            race.write_text(header + "".join(reorder(body)))
         course = tmp_path / "course.csv"
         write_course(
             course, [(0, 7000), (1, 14000), (3, 28000), (4, 33000), (5, 42195)]
@@ -835,9 +883,12 @@ class TestCli:
         )
         assert rc == 0
         assert err.splitlines() == [
-            f"warning: {race}: line 6002: invalid literal for int() with base 10: 'oops'",
-            f"warning: {race}: line 6003: expected 3 columns, got 2",
+            f"warning: {race}: line {lineno}: {bad[line]}"
+            for lineno, line in enumerate(race.read_text().splitlines(), start=1)
+            if line in bad
         ]
+        if reorder is None:
+            assert len(err.splitlines()) == 2 and "line 6002: " in err
         return out
 
     def test_field_records_match_golden(self, tmp_path):
@@ -859,6 +910,35 @@ class TestCli:
         out = self._golden_run(tmp_path, first_id_padded=True)
         assert out == (DATA / "field_records.txt").read_text()
         assert row_read == [6000]
+
+    @pytest.mark.parametrize(
+        "reorder",
+        [lambda body: body[::-1], lambda body: random.Random(18).sample(body, len(body))],
+        ids=["reversed", "shuffled"],
+    )
+    def test_field_records_match_golden_out_of_order(self, tmp_path, reorder):
+        # the reader sorts what is not in (time, cp, athlete) order;
+        # reversed, the bad rows come first and send every row through
+        # the row reader
+        out = self._golden_run(tmp_path, reorder=reorder)
+        assert out == (DATA / "field_records.txt").read_text()
+
+    def test_analysis_builds_no_events(self, race_file, monkeypatch):
+        # the CLI reads columns; read_events stays bound on cli, where
+        # tools that time the reader wrap it
+        def refuse(*args):
+            raise AssertionError("read_events called")
+
+        assert cli.read_events is read_events
+        monkeypatch.setattr(cli, "read_events", refuse)
+        monkeypatch.setattr(rio, "read_events", refuse)
+        path, _ = race_file
+        rc, out, err = run_cli(
+            ["--input", path, "--report", "summary,patterns,longterm,status,anomalies",
+             "--epsilon-sweep", "0,2000", "--out", "records"]
+        )
+        assert rc == 0 and err == ""
+        assert out.startswith("meta events=500 ") and "sweep epsilon=2000 " in out
 
     def test_pattern_records_match_truth(self, race_file):
         path, truth = race_file
@@ -978,7 +1058,8 @@ class TestCli:
     def test_bad_epsilon_sweep_exits_before_reading(self, race_file, monkeypatch, sweep):
         path, _ = race_file
         reads = []
-        monkeypatch.setattr(cli, "read_events", lambda *args: reads.append(args))
+        for reader in ("read_columns", "read_events"):
+            monkeypatch.setattr(cli, reader, lambda *args: reads.append(args))
         rc, out, err = run_cli(
             ["--input", path, "--out", "records", "--epsilon-sweep", sweep]
         )
@@ -1002,7 +1083,8 @@ class TestCli:
     def test_bad_ratio_exits_before_reading(self, race_file, monkeypatch, args, code, reason):
         path, _ = race_file
         reads = []
-        monkeypatch.setattr(cli, "read_events", lambda *args: reads.append(args))
+        for reader in ("read_columns", "read_events"):
+            monkeypatch.setattr(cli, reader, lambda *args: reads.append(args))
         out, err = _io.StringIO(), _io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             try:
