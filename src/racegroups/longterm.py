@@ -19,9 +19,10 @@ walking adjacencies whose labels decrease by one.
 The graph is not copied out of the pairs: the sweeps and the walk read
 the pair list in place, through each pair's ordinal-keyed edge maps,
 and keep one list of labels per control point, indexed by group
-ordinal.  The group-id keyed tables (GlobalGraph.fwd and bwd, the
-lpS/lpF/lpB/lpR label tables) are read-only dicts built on first read;
-nothing in the sweeps or the walk reads them.
+ordinal; LongTermLabels.at reads one group's label off those lists.
+GlobalGraph.fwd and bwd, group-id keyed edge tables, are read-only
+dicts built on first read; nothing in the sweeps or the walk reads
+them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .core import _Frozen
 from .evolution import PairGraph
@@ -40,13 +41,6 @@ KIND_FORWARD = "traceable-forward"
 KIND_BACKWARD = "traceable-backward"
 KIND_RELATED = "related"
 LONGTERM_KINDS = (KIND_SURVIVING, KIND_FORWARD, KIND_BACKWARD, KIND_RELATED)
-
-_LABEL_OF_KIND = {
-    KIND_SURVIVING: "lpS",
-    KIND_FORWARD: "lpF",
-    KIND_BACKWARD: "lpB",
-    KIND_RELATED: "lpR",
-}
 
 
 class GlobalGraph:
@@ -90,16 +84,6 @@ class GlobalGraph:
             }
         )
 
-    def cps(self) -> list[int]:
-        return list(self.counts)
-
-    def level(self, cp: int) -> list[GroupId]:
-        return [(cp, o) for o in range(self.counts.get(cp, 0))]
-
-    def vertices(self) -> Iterable[GroupId]:
-        for cp in self.cps():
-            yield from self.level(cp)
-
     def n_vertices(self) -> int:
         return sum(self.counts.values())
 
@@ -134,42 +118,31 @@ def build_global(pairs: Sequence[PairGraph]) -> GlobalGraph:
 
 class LongTermLabels(_Frozen):
     """Per-control-point label lists, indexed by group ordinal, one set
-    per kind; lpS, lpF, lpB and lpR are the group-id tables."""
+    per kind."""
 
-    _fields = ("_first", "_levels")
-    __slots__ = (*_fields, "__dict__")  # the tables are cached in __dict__
+    __slots__ = _fields = ("_first", "_levels")
 
     def __init__(self, _first: int, _levels: dict[str, list[list[int]]]) -> None:
         self._set(_first, _levels)  # _levels: kind -> lists
 
-    def _table(self, kind: str) -> Mapping[GroupId, int]:
-        first = self._first
-        return MappingProxyType(
-            {
-                (first + i, o): value
-                for i, level in enumerate(self._levels[kind])
-                for o, value in enumerate(level)
-            }
-        )
+    def at(self, kind: str, group_id: GroupId) -> int:
+        """The label of one kind of the group (cp, ordinal).
 
-    @cached_property
-    def lpS(self) -> Mapping[GroupId, int]:
-        return self._table(KIND_SURVIVING)
-
-    @cached_property
-    def lpF(self) -> Mapping[GroupId, int]:
-        return self._table(KIND_FORWARD)
-
-    @cached_property
-    def lpB(self) -> Mapping[GroupId, int]:
-        return self._table(KIND_BACKWARD)
-
-    @cached_property
-    def lpR(self) -> Mapping[GroupId, int]:
-        return self._table(KIND_RELATED)
-
-    def of(self, kind: str) -> Mapping[GroupId, int]:
-        return getattr(self, _LABEL_OF_KIND[kind])
+        Raises ValueError for an unknown kind and KeyError for a key
+        that names no group of the graph; a negative index is never
+        read from the end of a list.
+        """
+        if kind not in LONGTERM_KINDS:
+            raise ValueError(f"unknown long-term kind {kind!r}")
+        levels = self._levels[kind]
+        try:
+            cp, o = group_id
+            i = cp - self._first
+            if i >= 0 and o >= 0:
+                return levels[i][o]
+        except (TypeError, ValueError, IndexError):
+            pass
+        raise KeyError(group_id)
 
 
 def compute_labels(graph: GlobalGraph) -> LongTermLabels:
@@ -188,7 +161,7 @@ def compute_labels(graph: GlobalGraph) -> LongTermLabels:
     s = [0] * counts[0]
     f = [0] * counts[0]
     r = [0] * counts[0]
-    lpS, lpF, lpR = [s], [f], [r]
+    surviving, forward, related = [s], [f], [r]
     for pair, n in zip(graph.pairs, counts[1:]):
         prev_s, prev_f, prev_r = s, f, r
         s, f, r = [0] * n, [0] * n, [0] * n
@@ -206,28 +179,28 @@ def compute_labels(graph: GlobalGraph) -> LongTermLabels:
                 r[right] = value
             if fwd.get(left) == right:
                 s[right] = prev_s[left] + 1
-        lpS.append(s)
-        lpF.append(f)
-        lpR.append(r)
+        surviving.append(s)
+        forward.append(f)
+        related.append(r)
 
     b = [0] * counts[-1]
-    lpB = [b]
+    backward = [b]
     for pair, n in zip(reversed(graph.pairs), reversed(counts[:-1])):
         next_b, b = b, [0] * n
         for right, left in pair.bwd.items():
             value = next_b[right] + 1
             if value > b[left]:
                 b[left] = value
-        lpB.append(b)
-    lpB.reverse()
+        backward.append(b)
+    backward.reverse()
 
     return LongTermLabels(
         graph.first,
         {
-            KIND_SURVIVING: lpS,
-            KIND_FORWARD: lpF,
-            KIND_BACKWARD: lpB,
-            KIND_RELATED: lpR,
+            KIND_SURVIVING: surviving,
+            KIND_FORWARD: forward,
+            KIND_BACKWARD: backward,
+            KIND_RELATED: related,
         },
     )
 
@@ -277,7 +250,7 @@ def longest(graph: GlobalGraph, labels: LongTermLabels, kind: str) -> LongestRes
     Ties on the label value go to the earliest (control point, ordinal)
     pair.  An empty graph yields a zero-length result.
     """
-    if kind not in _LABEL_OF_KIND:
+    if kind not in LONGTERM_KINDS:
         raise ValueError(f"unknown long-term kind {kind!r}")
     levels = labels._levels[kind]
     best_i = best_value = -1

@@ -14,7 +14,14 @@ from typing import Iterable, Mapping, Sequence
 
 from .core import Event, Mu, Params, strongly_related, weakly_related
 from .grouping import ABSENT, OUTLIER, PENDING, GroupId
-from .longterm import KIND_BACKWARD, KIND_FORWARD, KIND_SURVIVING, GlobalGraph
+from .longterm import (
+    KIND_BACKWARD,
+    KIND_FORWARD,
+    KIND_RELATED,
+    KIND_SURVIVING,
+    LONGTERM_KINDS,
+    GlobalGraph,
+)
 from .patterns import (
     APPEARS,
     COHERES,
@@ -332,7 +339,8 @@ def oracle_longterm(
     bwd_edges: set[tuple[GroupId, GroupId]],
     max_groups: int = 40,
 ) -> dict[str, dict[GroupId, int]]:
-    """Exact label values by exhaustive path enumeration.
+    """Exact label values by exhaustive path enumeration, keyed by kind
+    and then by group.
 
     Edges are given as (earlier group, later group) pairs regardless of
     their direction: fwd_edges holds S ~ S', bwd_edges holds S' ~ S.
@@ -367,18 +375,13 @@ def oracle_longterm(
             best = max(best, 1 + longest_from(w, edges))
         return best
 
-    labels: dict[str, dict[GroupId, int]] = {
-        "lpS": {},
-        "lpF": {},
-        "lpB": {},
-        "lpR": {},
-    }
+    labels: dict[str, dict[GroupId, int]] = {kind: {} for kind in LONGTERM_KINDS}
     for level in levels:
         for v in level:
-            labels["lpS"][v] = longest_to(v, strong_edges)
-            labels["lpF"][v] = longest_to(v, fwd_edges)
-            labels["lpB"][v] = longest_from(v, bwd_edges)
-            labels["lpR"][v] = longest_to(v, related_edges)
+            labels[KIND_SURVIVING][v] = longest_to(v, strong_edges)
+            labels[KIND_FORWARD][v] = longest_to(v, fwd_edges)
+            labels[KIND_BACKWARD][v] = longest_from(v, bwd_edges)
+            labels[KIND_RELATED][v] = longest_to(v, related_edges)
     return labels
 
 
@@ -399,21 +402,26 @@ def oracle_walk(
 ) -> list[GroupId]:
     """Reference witness walk: the path whose label ends (for lpB:
     starts) at v, in ascending control-point order.  Each step scans
-    the whole adjacent level, in ordinal order, for the first group
-    linked to v whose label is one less."""
+    the whole adjacent level, the groups of that control point among
+    the labels' keys, in ordinal order, for the first group linked to v
+    whose label is one less."""
+
+    def level(cp: int) -> list[GroupId]:
+        return sorted(u for u in labels if u[0] == cp)
+
     path = [v]
     while labels[v] > 0:
         want = labels[v] - 1
         if kind == KIND_BACKWARD:
             v = next(
                 w
-                for w in graph.level(v[0] + 1)
+                for w in level(v[0] + 1)
                 if labels[w] == want and _linked(graph, kind, v, w)
             )
         else:
             v = next(
                 u
-                for u in graph.level(v[0] - 1)
+                for u in level(v[0] - 1)
                 if labels[u] == want and _linked(graph, kind, u, v)
             )
         path.append(v)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from .core import Event, Params
 from .evolution import PairGraph
-from .longterm import LONGTERM_KINDS, build_global, compute_labels
+from .longterm import LONGTERM_KINDS, build_global, compute_labels, longest_all
 from .oracles import oracle_patterns
 from .patterns import KINDS
 
@@ -230,11 +230,8 @@ def _script_truth(script: Script, pack_size: int, params: Params):
         counts.append(pattern_set.counts())
         pairs.append(PairGraph.from_memberships(c, levels[c], levels[c + 1], mu))
     graph = build_global(pairs)
-    labels = compute_labels(graph)
-    maxima = {
-        kind: max(labels.of(kind).values(), default=0)
-        for kind in LONGTERM_KINDS
-    }
+    results = longest_all(graph, compute_labels(graph))
+    maxima = {kind: results[kind].length_edges for kind in LONGTERM_KINDS}
     group_counts = [len(level) for level in levels]
     return counts, maxima, group_counts
 

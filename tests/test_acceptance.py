@@ -111,10 +111,9 @@ def test_criterion_1_oracle_equivalence(record_property):
             levels, fwd_edges, bwd_edges, max_groups=10**6
         )
         labels = compute_labels(build_global(pairs))
-        assert labels.lpS == expected_labels["lpS"], f"lpS seed={seed}"
-        assert labels.lpF == expected_labels["lpF"], f"lpF seed={seed}"
-        assert labels.lpB == expected_labels["lpB"], f"lpB seed={seed}"
-        assert labels.lpR == expected_labels["lpR"], f"lpR seed={seed}"
+        for kind, expected in expected_labels.items():
+            got = {v: labels.at(kind, v) for level in levels for v in level}
+            assert got == expected, f"{kind} seed={seed}"
 
     elapsed = time.perf_counter() - started
     record_property(
@@ -186,7 +185,7 @@ def test_criterion_3_strong_chain_labels(record_property):
     )
     events, _ = generate(config)
     result = run(events, RunConfig(params=params))
-    got = [result.labels.lpS[(cp, 0)] for cp in range(4)]
+    got = [result.labels.at(KIND_SURVIVING, (cp, 0)) for cp in range(4)]
     surviving = result.longest[KIND_SURVIVING]
     record_property(
         "detail",

@@ -211,14 +211,15 @@ class TestValueSemantics:
         config = pickle.loads(pickle.dumps(RunConfig(params=PARAMS, pace_factor=1.1)))
         assert config.pace_factor == Fraction(11, 10)
 
-    def test_labels_by_value_with_cached_tables(self):
+    def test_labels_by_value(self):
         labels = LongTermLabels(0, LEVELS)
         twin = LongTermLabels(0, {"surviving": [[0, 1], [1]]})
-        assert labels.lpS is labels.lpS and "lpS" in vars(labels)
-        assert "lpS" not in vars(twin)
+        assert not hasattr(labels, "__dict__")
         assert labels == twin
         assert labels != LongTermLabels(1, LEVELS)
-        assert dict(labels.lpS) == {(0, 0): 0, (0, 1): 1, (1, 0): 1}
+        groups = [(0, 0), (0, 1), (1, 0)]
+        assert [labels.at("surviving", v) for v in groups] == [0, 1, 1]
+        assert LongTermLabels(1, LEVELS).at("surviving", (2, 0)) == 1
 
 
 class TestInclusion:

@@ -33,7 +33,7 @@ from racegroups.io import (
     write_events,
     write_ground_truth,
 )
-from racegroups.longterm import KIND_SURVIVING, LONGTERM_KINDS
+from racegroups.longterm import KIND_RELATED, KIND_SURVIVING, LONGTERM_KINDS
 from racegroups.patterns import MERGES, SPLITS, SURVIVES, IncompletePairError
 from racegroups.pipeline import (
     MODE_FINALIZED,
@@ -368,16 +368,54 @@ class TestChunkedLongFormat:
         [b"007,1,2", b"9" * 5000 + b",1,2"],
         ids=["leading-zero", "past-digit-limit"],
     )
-    def test_bulk_chunk_json_refuses_goes_to_row_reader(self, tmp_path, line):
-        # the chunk matches _BULK_CHUNK, but JSON refuses a leading zero
-        # and int() a cell past its digit limit
+    def test_bulk_chunk_json_refuses_goes_to_row_reader(self, tmp_path, monkeypatch, line):
+        # the chunk is all digit runs, two commas a line, so it reaches
+        # json, which refuses a leading zero, and int() a cell past its
+        # digit limit
+        parsed = []
+        loads = rio.json.loads
+        monkeypatch.setattr(rio.json, "loads", lambda text: parsed.append(text) or loads(text))
         body = b"1,0,5\n" + line + b"\n3,0,7\n"
-        assert rio._BULK_CHUNK.fullmatch(body.decode())
+        path = tmp_path / "race.csv"
+        path.write_bytes(b"athlete_id,control_point,time_ms\n" + body)
+        events, issues = read_both(str(path))
+        assert len(parsed) == 2  # once by read_events, once by read_columns
+        assert (events, issues) == _read_by_rows(path)
+        assert all(type(e) is Event for e in events)
+
+    @pytest.mark.parametrize(
+        "line, terminated, n_issues",
+        [
+            (b"4,,6", True, 1),
+            (b"4,5,", True, 1),
+            (b"4,5,6,7", True, 1),
+            (b"4,5\r6", True, 2),  # csv splits the line at the lone \r
+            (b"+4,5,6", True, 1),
+            (b"4,5,1_0", True, 1),
+            ("\uff14,5,6".encode(), True, 1),
+            (b"04,5,6", True, 0),
+            (b" 4,5,6", True, 0),
+            (b"4,5,6", False, 0),
+            (b"45", False, 1),
+        ],
+        ids=[
+            "empty-cell", "trailing-comma", "four-cells", "lone-cr", "plus",
+            "underscore", "fullwidth-digit", "leading-zero", "padded",
+            "unterminated", "unterminated-one-cell",
+        ],
+    )
+    def test_bulk_check_refusals(self, tmp_path, line, terminated, n_issues):
+        # the bulk reader takes only chunks of bare digit-run lines, each
+        # newline-terminated; everything else reads as the row reader
+        # reads it.  Without the newline test, `45` as the last line
+        # would pass, lose its last digit and leave the columns unequal
+        body = b"1,0,5\n2,0,6\n" + line + (b"\n3,0,7\n" if terminated else b"")
         path = tmp_path / "race.csv"
         path.write_bytes(b"athlete_id,control_point,time_ms\n" + body)
         events, issues = read_both(str(path))
         assert (events, issues) == _read_by_rows(path)
-        assert all(type(e) is Event for e in events)
+        assert len(issues) == n_issues
+        assert {1, 2} <= {e.athlete for e in events}
 
     def test_rows_after_bulk_chunks_keep_their_line_numbers(self, tmp_path, monkeypatch):
         monkeypatch.setattr(rio, "_CHUNK_BYTES", 8)
@@ -634,7 +672,10 @@ class TestPipeline:
         assert result.longterm_maxima() == dict.fromkeys(LONGTERM_KINDS, 1)
         for res in result.longest.values():
             assert res.witness == ((0, 0),)
-        assert dict(result.labels.lpR) == {(0, 0): 0}
+        assert result.labels.at(KIND_RELATED, (0, 0)) == 0
+        for key in ((0, 1), (1, 0)):
+            with pytest.raises(KeyError):
+                result.labels.at(KIND_RELATED, key)
         late = events + [Event(9, 1, 100_000)]  # an outlier, no group at cp 1
         assert run(late, RunConfig(params=params)).longterm_maxima() == (
             result.longterm_maxima()

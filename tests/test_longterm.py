@@ -46,6 +46,20 @@ def strong_chain(n_cps, members=range(10)):
     return chain_pairs([[set(members)]] * n_cps)
 
 
+def levels_of(graph):
+    """The graph's groups, one list per control point, in ordinal order."""
+    return [[(cp, o) for o in range(n)] for cp, n in graph.counts.items()]
+
+
+def vertices(graph):
+    return [v for level in levels_of(graph) for v in level]
+
+
+def table(labels, graph, kind):
+    """One kind's labels as a plain group-id dict, read through at()."""
+    return {v: labels.at(kind, v) for v in vertices(graph)}
+
+
 class TestBuildGlobal:
     def test_single_pair(self):
         graph = build_global(strong_chain(2))
@@ -74,8 +88,9 @@ class TestBuildGlobal:
 
 
 class TestViews:
-    """Labels and edges are read-only group-id mappings over per-cp
-    lists and the pairs; first_cp 3 keeps cp and list index apart."""
+    """Labels are read one group at a time through at(), edges through
+    read-only group-id mappings over the pairs; first_cp 3 keeps cp and
+    list index apart."""
 
     def _graph(self):
         # cp 3: groups a, b; cp 4: a alone (strong), b dropped; cp 5: a
@@ -86,66 +101,73 @@ class TestViews:
         graph = self._graph()
         labels = compute_labels(graph)
         want = {(3, 0): 0, (3, 1): 0, (4, 0): 1, (5, 0): 2}
-        assert labels.lpS == want
-        assert want == labels.lpS
-        assert dict(labels.lpS) == want
-        assert labels.lpS != {**want, (5, 0): 1}
-        assert {**want, (6, 0): 0} != labels.lpS
+        assert {v: labels.at(KIND_SURVIVING, v) for v in want} == want
         assert graph.fwd == {(3, 0): (4, 0), (4, 0): (5, 0)}
         assert {(4, 0): (3, 0), (5, 0): (4, 0)} == graph.bwd
+        assert graph.fwd != {(3, 0): (4, 0)}
+        assert {(4, 0): (3, 0), (5, 0): (4, 0), (6, 0): (5, 0)} != graph.bwd
 
     def test_len_and_order(self):
         graph = self._graph()
         labels = compute_labels(graph)
         order = [(3, 0), (3, 1), (4, 0), (5, 0)]
-        for table in (labels.lpS, labels.lpF, labels.lpB, labels.lpR):
-            assert len(table) == 4
-            assert list(table) == order
-            assert list(table.items()) == [(v, table[v]) for v in order]
-        assert list(labels.lpB.values()) == [2, 0, 1, 0]
+        assert vertices(graph) == order
+        for kind in (KIND_SURVIVING, KIND_FORWARD, KIND_RELATED):
+            assert [labels.at(kind, v) for v in order] == [0, 0, 1, 2]
+        assert [labels.at(KIND_BACKWARD, v) for v in order] == [2, 0, 1, 0]
         assert len(graph.fwd) == len(graph.bwd) == 2
+        assert list(graph.fwd) == [(3, 0), (4, 0)]
+        assert list(graph.bwd.items()) == [((4, 0), (3, 0)), ((5, 0), (4, 0))]
 
     def test_out_of_range_keys_raise(self):
         graph = self._graph()
         labels = compute_labels(graph)
+        # (3, -1) and (2, 0) would read another group's label if at()
+        # indexed its lists as given
         bad = [(3, -1), (4, -1), (3, 2), (4, 1), (2, 0), (6, 0), (-1, 0), "3:0", (3,)]
-        for table in (labels.lpS, labels.lpB, graph.fwd, graph.bwd):
+        for kind in LONGTERM_KINDS:
             for key in bad:
                 with pytest.raises(KeyError):
-                    table[key]
-                assert key not in table
-                assert table.get(key) is None
+                    labels.at(kind, key)
+        for kind in ("sideways", "lpS"):
+            with pytest.raises(ValueError):
+                labels.at(kind, (3, 0))
+        for edges in (graph.fwd, graph.bwd):
+            for key in bad:
+                with pytest.raises(KeyError):
+                    edges[key]
+                assert key not in edges
+                assert edges.get(key) is None
         # no edge out of the last level nor back from the first
         for key in ((5, 0), (3, 1)):
             assert key not in graph.fwd
         assert (3, 0) not in graph.bwd
 
     def test_read_only(self):
-        labels = compute_labels(self._graph())
+        graph = self._graph()
         with pytest.raises(TypeError):
-            labels.lpS[(3, 0)] = 5
-        copy = dict(labels.lpS)
-        copy[(3, 0)] = 5
-        assert labels.lpS[(3, 0)] == 0
+            graph.fwd[(3, 0)] = (4, 1)
+        copy = dict(graph.fwd)
+        copy[(3, 0)] = (4, 1)
+        assert graph.fwd[(3, 0)] == (4, 0)
 
 
 class TestSweeps:
     def test_strong_chain_labels(self):
         graph = build_global(strong_chain(4))
         labels = compute_labels(graph)
-        assert [labels.lpS[(cp, 0)] for cp in range(4)] == [0, 1, 2, 3]
-        assert [labels.lpF[(cp, 0)] for cp in range(4)] == [0, 1, 2, 3]
-        assert [labels.lpR[(cp, 0)] for cp in range(4)] == [0, 1, 2, 3]
+        for kind in (KIND_SURVIVING, KIND_FORWARD, KIND_RELATED):
+            assert [labels.at(kind, (cp, 0)) for cp in range(4)] == [0, 1, 2, 3]
         # strong edges are backward edges too, so lpB mirrors the chain
-        assert [labels.lpB[(cp, 0)] for cp in range(4)] == [3, 2, 1, 0]
+        assert [labels.at(KIND_BACKWARD, (cp, 0)) for cp in range(4)] == [3, 2, 1, 0]
 
     def test_isolated_group(self):
         graph = build_global(
             chain_pairs([[set(range(10))], [set(range(50, 60))]])
         )
         labels = compute_labels(graph)
-        for table in (labels.lpS, labels.lpF, labels.lpB, labels.lpR):
-            assert set(table.values()) == {0}
+        for kind in LONGTERM_KINDS:
+            assert set(table(labels, graph, kind).values()) == {0}
 
     def test_diamond_takes_longer_forward_path(self):
         # lane one runs from cp 0, lane two only from cp 1; both feed
@@ -158,7 +180,7 @@ class TestSweeps:
         )
         graph = build_global(pairs)
         labels = compute_labels(graph)
-        assert labels.lpF[(3, 0)] == 3
+        assert labels.at(KIND_FORWARD, (3, 0)) == 3
         result = longest(graph, labels, KIND_FORWARD)
         assert result.length_edges == 3
         assert result.witness == ((0, 0), (1, 0), (2, 0), (3, 0))
@@ -176,9 +198,9 @@ class TestSweeps:
         ]
         graph = build_global(chain_pairs(levels))
         labels = compute_labels(graph)
-        assert labels.lpS == {v: 0 for v in graph.vertices()}
-        assert labels.lpB[(0, 0)] == 3
-        assert labels.lpB[(3, 0)] == 0
+        assert table(labels, graph, KIND_SURVIVING) == {v: 0 for v in vertices(graph)}
+        assert labels.at(KIND_BACKWARD, (0, 0)) == 3
+        assert labels.at(KIND_BACKWARD, (3, 0)) == 0
 
 
 def fig3_pairs():
@@ -231,6 +253,18 @@ class TestLongest:
             longest(graph, compute_labels(graph), "sideways")
 
 
+def edge_sets(pairs):
+    """The pairs' forward and backward edges as (earlier group, later
+    group) sets, as oracle_longterm takes them."""
+    fwd, bwd = set(), set()
+    for p in pairs:
+        for o, r in p.fwd.items():
+            fwd.add(((p.left_cp, o), (p.right_cp, r)))
+        for r, o in p.bwd.items():
+            bwd.add(((p.left_cp, o), (p.right_cp, r)))
+    return fwd, bwd
+
+
 def _graph_of(events, params):
     engine, stack, _ = run_stream(events, params)
     return build_global(complete_pairs(engine, stack))
@@ -244,12 +278,13 @@ class TestProperties:
         graph = _graph_of(events, params)
         labels = compute_labels(graph)
         first = min(graph.counts, default=0)
-        for v in graph.vertices():
-            assert labels.lpF[v] >= labels.lpS[v]
-            assert labels.lpR[v] >= labels.lpF[v]
-            assert labels.lpS[v] <= v[0] - first
+        s, f, b, r = (table(labels, graph, kind) for kind in LONGTERM_KINDS)
+        for v in vertices(graph):
+            assert f[v] >= s[v]
+            assert r[v] >= f[v]
+            assert s[v] <= v[0] - first
         if graph.n_vertices():
-            assert max(labels.lpR.values()) >= max(labels.lpB.values())
+            assert max(r.values()) >= max(b.values())
 
     @settings(max_examples=150, deadline=None)
     @given(cohort_streams())
@@ -259,18 +294,9 @@ class TestProperties:
         pairs = complete_pairs(engine, stack)
         graph = build_global(pairs)
         labels = compute_labels(graph)
-        levels = [graph.level(cp) for cp in graph.cps()]
-        fwd, bwd = set(), set()
-        for p in pairs:
-            for o, r in p.fwd.items():
-                fwd.add(((p.left_cp, o), (p.right_cp, r)))
-            for r, o in p.bwd.items():
-                bwd.add(((p.left_cp, o), (p.right_cp, r)))
-        want = oracle_longterm(levels, fwd, bwd, max_groups=60)
-        assert labels.lpS == want["lpS"]
-        assert labels.lpF == want["lpF"]
-        assert labels.lpB == want["lpB"]
-        assert labels.lpR == want["lpR"]
+        want = oracle_longterm(levels_of(graph), *edge_sets(pairs), max_groups=60)
+        for kind in LONGTERM_KINDS:
+            assert table(labels, graph, kind) == want[kind], kind
 
     @settings(max_examples=150, deadline=None)
     @given(cohort_streams())
@@ -306,33 +332,24 @@ class TestWitnessWalk:
         graph = build_global(pairs)
         labels = compute_labels(graph)
         results = longest_all(graph, labels)
+        want = oracle_longterm(levels_of(graph), *edge_sets(pairs), max_groups=100)
         for kind in LONGTERM_KINDS:
-            table = labels.of(kind)
-            if not table:
+            oracle = want[kind]
+            assert table(labels, graph, kind) == oracle, kind
+            if not oracle:
                 assert results[kind] == LongestResult(kind, 0, 0, ())
                 continue
-            best = max(table, key=table.__getitem__)  # first in (cp, o) order
-            path = oracle_walk(graph, table, best, kind)
+            best = max(oracle, key=oracle.__getitem__)  # first in (cp, o) order
+            path = oracle_walk(graph, oracle, best, kind)
             assert results[kind].witness == tuple(path), kind
-            assert results[kind].length_edges == table[best]
-        levels = [graph.level(cp) for cp in graph.cps()]
-        fwd, bwd = set(), set()
-        for p in pairs:
-            for o, r in p.fwd.items():
-                fwd.add(((p.left_cp, o), (p.right_cp, r)))
-            for r, o in p.bwd.items():
-                bwd.add(((p.left_cp, o), (p.right_cp, r)))
-        want = oracle_longterm(levels, fwd, bwd, max_groups=100)
-        assert labels.lpS == want["lpS"]
-        assert labels.lpF == want["lpF"]
-        assert labels.lpB == want["lpB"]
-        assert labels.lpR == want["lpR"]
+            assert results[kind].length_edges == oracle[best]
 
 
 class TestBuiltOnRead:
     def test_pipeline_builds_no_group_id_table(self):
         # the sweeps and the walk read the pair lists; the group-id
-        # tables cost memory and are built only for a caller that reads
+        # edge tables cost memory and are built only for a caller that
+        # reads them
         params = Params(epsilon=2000, m=7, mu=MU)
         events, _ = generate(
             GeneratorConfig(n_athletes=200, n_cps=8, params=params, seed=1)
@@ -342,10 +359,7 @@ class TestBuiltOnRead:
         labels = compute_labels(graph)
         results = longest_all(graph, labels)
         assert results[KIND_RELATED].length_edges == 7
-        for table in ("fwd", "bwd"):
-            assert table not in vars(graph)
-        for table in ("lpS", "lpF", "lpB", "lpR"):
-            assert table not in vars(labels)
-            assert table not in vars(result.labels)
-        assert labels.of(KIND_RELATED) is labels.lpR and "lpR" in vars(labels)
+        for edges in ("fwd", "bwd"):
+            assert edges not in vars(graph)
         assert graph.fwd is graph.fwd and "fwd" in vars(graph)
+        assert "bwd" not in vars(graph)
