@@ -17,8 +17,16 @@ No partial count is kept.
 Since groups at one control point are disjoint and mu > 1/2, each
 vertex has at most one outgoing edge in each direction; in-degrees are
 unbounded.  The out-edges map a group to its partner's ordinal; each
-edge's weight, |S ∩ S'|, is stored once, in the in-edge list of the
+edge's weight, |S ∩ S'|, is stored once, in the in-edge tuple of the
 edge's head, where the union tests of the pattern detector read it.
+An in-degree is at most the number of groups at the other control
+point, and most are one, so an in-edge tuple is rebuilt one longer for
+each new edge rather than kept as a list.
+
+Each side also keeps the ids of its groups, in ordinal order, and the
+pair its key (left_cp, left_cp + 1): the pattern records name groups
+and the pair through these tuples, the engine's own Group.id included,
+and build no new ones.
 
 A pair changes on exactly two events: a right group finished
 (add_right) or a left group finished (add_left).  Each sizes the new
@@ -31,6 +39,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import Mu
+from .grouping import GroupId
 
 
 class EdgeAdded(NamedTuple):
@@ -46,7 +55,10 @@ class PairGraph:
 
     __slots__ = (
         "left_cp",
+        "key",
         "mu",
+        "left_ids",
+        "right_ids",
         "left_sizes",
         "right_sizes",
         "fwd",
@@ -57,13 +69,16 @@ class PairGraph:
 
     def __init__(self, left_cp: int, mu: Mu) -> None:
         self.left_cp = left_cp
+        self.key = (left_cp, left_cp + 1)
         self.mu = mu
+        self.left_ids: list[GroupId] = []  # ordinal -> (left_cp, ordinal)
+        self.right_ids: list[GroupId] = []  # ordinal -> (left_cp + 1, ordinal)
         self.left_sizes: list[int] = []
         self.right_sizes: list[int] = []
         self.fwd: dict[int, int] = {}  # left -> right
         self.bwd: dict[int, int] = {}  # right -> left
-        self.fwd_in: dict[int, list[tuple[int, int]]] = {}  # right -> [(left, w)]
-        self.bwd_in: dict[int, list[tuple[int, int]]] = {}  # left -> [(right, w)]
+        self.fwd_in: dict[int, tuple[tuple[int, int], ...]] = {}  # right -> ((left, w), ...)
+        self.bwd_in: dict[int, tuple[tuple[int, int], ...]] = {}  # left -> ((right, w), ...)
 
     @property
     def right_cp(self) -> int:
@@ -71,41 +86,49 @@ class PairGraph:
 
     # -- construction, one call per finished group ----------------------
 
-    def add_right(self, ordinal: int, size: int, counts: dict[int, int]) -> list[EdgeAdded]:
-        """A right group finished.  counts maps the ordinals of left
-        groups already finished to the members each shares with it."""
-        assert ordinal == len(self.right_sizes)
+    def add_right(self, group_id: GroupId, size: int, counts: dict[int, int]) -> list[EdgeAdded]:
+        """A right group finished.  group_id is the engine's Group.id,
+        kept for the records to name it; counts maps the ordinals of
+        left groups already finished to the members each shares with it."""
+        cp, ordinal = group_id
+        assert cp == self.left_cp + 1 and ordinal == len(self.right_ids)
+        self.right_ids.append(group_id)
         self.right_sizes.append(size)
         added: list[EdgeAdded] = []
         num, den = self.mu.num, self.mu.den  # the tests of Mu.covers, inline
+        fwd_in, bwd_in = self.fwd_in, self.bwd_in
         for left, weight in counts.items():
             part = den * weight
             if part >= num * self.left_sizes[left]:
                 self.fwd[left] = ordinal
-                self.fwd_in.setdefault(ordinal, []).append((left, weight))
+                fwd_in[ordinal] = fwd_in.get(ordinal, ()) + ((left, weight),)
                 added.append(tuple.__new__(EdgeAdded, (left, ordinal, True)))
             if part >= num * size:
                 self.bwd[ordinal] = left
-                self.bwd_in.setdefault(left, []).append((ordinal, weight))
+                bwd_in[left] = bwd_in.get(left, ()) + ((ordinal, weight),)
                 added.append(tuple.__new__(EdgeAdded, (left, ordinal, False)))
         return added
 
-    def add_left(self, ordinal: int, size: int, counts: dict[int, int]) -> list[EdgeAdded]:
-        """A left group finished.  counts maps the ordinals of right
-        groups already finished to the members each shares with it."""
-        assert ordinal == len(self.left_sizes)
+    def add_left(self, group_id: GroupId, size: int, counts: dict[int, int]) -> list[EdgeAdded]:
+        """A left group finished.  group_id is the engine's Group.id,
+        kept for the records to name it; counts maps the ordinals of
+        right groups already finished to the members each shares with it."""
+        cp, ordinal = group_id
+        assert cp == self.left_cp and ordinal == len(self.left_ids)
+        self.left_ids.append(group_id)
         self.left_sizes.append(size)
         added: list[EdgeAdded] = []
         num, den = self.mu.num, self.mu.den
+        fwd_in, bwd_in = self.fwd_in, self.bwd_in
         for right, weight in counts.items():
             part = den * weight
             if part >= num * size:
                 self.fwd[ordinal] = right
-                self.fwd_in.setdefault(right, []).append((ordinal, weight))
+                fwd_in[right] = fwd_in.get(right, ()) + ((ordinal, weight),)
                 added.append(tuple.__new__(EdgeAdded, (ordinal, right, True)))
             if part >= num * self.right_sizes[right]:
                 self.bwd[right] = ordinal
-                self.bwd_in.setdefault(ordinal, []).append((right, weight))
+                bwd_in[ordinal] = bwd_in.get(ordinal, ()) + ((right, weight),)
                 added.append(tuple.__new__(EdgeAdded, (ordinal, right, False)))
         return added
 
@@ -135,14 +158,14 @@ class PairGraph:
         right = [set(s) for s in right_sets]
         pair = cls(left_cp, mu)
         for o, s in enumerate(left):
-            pair.add_left(o, len(s), {})
+            pair.add_left((left_cp, o), len(s), {})
         for r, s in enumerate(right):
             counts = {}
             for o, ls in enumerate(left):
                 shared = len(ls & s)
                 if shared:
                     counts[o] = shared
-            pair.add_right(r, len(s), counts)
+            pair.add_right((left_cp + 1, r), len(s), counts)
         return pair
 
 
@@ -170,14 +193,15 @@ class GraphStack:
         """before and after are the group's FinishedComponent counts.
         Returns the edges each affected pair gained, for the pattern
         tracker."""
-        (cp, ordinal), members, _, _ = group
+        group_id, members, _, _ = group
+        cp = group_id[0]
         size = len(members)
         updates: list[tuple[PairGraph, list[EdgeAdded]]] = []
         if cp > 0:
             pair = self.pair(cp - 1)
-            updates.append((pair, pair.add_right(ordinal, size, before)))
+            updates.append((pair, pair.add_right(group_id, size, before)))
         left_pair = self.pair(cp)
-        updates.append((left_pair, left_pair.add_left(ordinal, size, after)))
+        updates.append((left_pair, left_pair.add_left(group_id, size, after)))
         return updates
 
     def on_failed_component(self, cp: int) -> None:

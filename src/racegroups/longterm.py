@@ -121,6 +121,7 @@ class LongTermLabels(_Frozen):
     per kind."""
 
     __slots__ = _fields = ("_first", "_levels")
+    __hash__ = None  # equal by value, but the levels are lists
 
     def __init__(self, _first: int, _levels: dict[str, list[list[int]]]) -> None:
         self._set(_first, _levels)  # _levels: kind -> lists

@@ -114,36 +114,34 @@ class IncompletePairError(RuntimeError):
 
 
 def _survives_record(pair: PairGraph, left: int, right: int) -> PatternRecord:
-    lcp = pair.left_cp
-    rcp = lcp + 1
+    left_ids, right_ids = pair.left_ids, pair.right_ids
     parents = pair.fwd_in[right]
     children = pair.bwd_in[left]
-    # each in-list holds the strong partner itself
+    # each in-tuple holds the strong partner itself
     absorbed = (
-        tuple(sorted((lcp, o) for o, _ in parents if o != left))
+        tuple([left_ids[o] for o in sorted([o for o, _ in parents]) if o != left])
         if len(parents) > 1
         else ()
     )
     spawned = (
-        tuple(sorted((rcp, r) for r, _ in children if r != right))
+        tuple([right_ids[r] for r in sorted([r for r, _ in children]) if r != right])
         if len(children) > 1
         else ()
     )
     return _new(
         PatternRecord,
-        (SURVIVES, (lcp, rcp), (lcp, left), (rcp, right), (), (), absorbed, spawned),
+        (SURVIVES, pair.key, left_ids[left], right_ids[right], (), (), absorbed, spawned),
     )
 
 
 def classify_target(pair: PairGraph, right: int) -> PatternRecord:
     """The single record owning right group `right` of this pair."""
-    lcp = pair.left_cp
-    rcp = lcp + 1
+    key, left_ids, right_ids = pair.key, pair.left_ids, pair.right_ids
     parents = pair.fwd_in.get(right)
     left = pair.bwd.get(right)
     if not parents:
         if left is None:
-            return _new(PatternRecord, (APPEARS, (lcp, rcp), None, (rcp, right), (), (), (), ()))
+            return _new(PatternRecord, (APPEARS, key, None, right_ids[right], (), (), (), ()))
         strong_right = pair.strong_partner_of_left(left)
         if strong_right is not None:
             # the source survives elsewhere; this target is one of its
@@ -152,21 +150,21 @@ def classify_target(pair: PairGraph, right: int) -> PatternRecord:
         children = pair.bwd_in[left]
         if len(children) == 1:
             return _new(
-                PatternRecord, (SHRINKS, (lcp, rcp), (lcp, left), (rcp, right), (), (), (), ())
+                PatternRecord, (SHRINKS, key, left_ids[left], right_ids[right], (), (), (), ())
             )
         covered = sum(w for _, w in children)
         kind = SPLITS if pair.mu.covers(covered, pair.left_sizes[left]) else DISBANDS
-        targets = tuple(sorted((rcp, r) for r, _ in children))
-        return _new(PatternRecord, (kind, (lcp, rcp), (lcp, left), None, (), targets, (), ()))
+        targets = tuple([right_ids[r] for r in sorted([r for r, _ in children])])
+        return _new(PatternRecord, (kind, key, left_ids[left], None, (), targets, (), ()))
     if left is not None and pair.fwd.get(left) == right:
         return _survives_record(pair, left, right)
     if len(parents) == 1:
-        source = (lcp, parents[0][0])
-        return _new(PatternRecord, (EXPANDS, (lcp, rcp), source, (rcp, right), (), (), (), ()))
+        source = left_ids[parents[0][0]]
+        return _new(PatternRecord, (EXPANDS, key, source, right_ids[right], (), (), (), ()))
     covered = sum(w for _, w in parents)
     kind = MERGES if pair.mu.covers(covered, pair.right_sizes[right]) else COHERES
-    sources = tuple(sorted((lcp, o) for o, _ in parents))
-    return _new(PatternRecord, (kind, (lcp, rcp), None, (rcp, right), sources, (), (), ()))
+    sources = tuple([left_ids[o] for o in sorted([o for o, _ in parents])])
+    return _new(PatternRecord, (kind, key, None, right_ids[right], sources, (), (), ()))
 
 
 def _pattern_set(
@@ -184,8 +182,7 @@ def _pattern_set(
     of PatternRecord.sort_key: within one kind no two records share a
     first source or a first target, since a group has at most one
     out-edge each way and groups at one control point are disjoint."""
-    lcp = pair.left_cp
-    rcp = lcp + 1
+    left_ids, right_ids = pair.left_ids, pair.right_ids
     left_names = [0] * len(pair.left_sizes)
     right_names = [0] * len(pair.right_sizes)
     span = max(len(left_names), len(right_names)) + 1  # above any ordinal + 1
@@ -222,21 +219,21 @@ def _pattern_set(
     disappears = _KIND_RANK[DISAPPEARS] * span
     for left, names in enumerate(left_names):
         if names > 1:
-            flags.append((FLAG_DOUBLE_SOURCE, (lcp, left)))
+            flags.append((FLAG_DOUBLE_SOURCE, left_ids[left]))
         elif not names:
             if pair.bwd_in.get(left):
-                flags.append((FLAG_UNCLASSIFIED, (lcp, left)))
+                flags.append((FLAG_UNCLASSIFIED, left_ids[left]))
             else:
                 rec = _new(
-                    PatternRecord, (DISAPPEARS, (lcp, rcp), (lcp, left), None, (), (), (), ())
+                    PatternRecord, (DISAPPEARS, pair.key, left_ids[left], None, (), (), (), ())
                 )
                 keyed.append(((disappears + left + 1) * span, rec))
     for right, names in enumerate(right_names):
         if names > 1:
-            flags.append((FLAG_DOUBLE_TARGET, (rcp, right)))
+            flags.append((FLAG_DOUBLE_TARGET, right_ids[right]))
     keyed.sort()
     return PatternSet(
-        pair=(lcp, rcp),
+        pair=pair.key,
         records=tuple([rec for _, rec in keyed]),
         flags=tuple(sorted(flags)),
         finalized=finalized,

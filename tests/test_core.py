@@ -3,6 +3,7 @@ properties; the value classes that carry the analysis's parameters."""
 
 import copy
 import pickle
+from collections.abc import Hashable
 from fractions import Fraction
 
 import pytest
@@ -220,6 +221,15 @@ class TestValueSemantics:
         groups = [(0, 0), (0, 1), (1, 0)]
         assert [labels.at("surviving", v) for v in groups] == [0, 1, 1]
         assert LongTermLabels(1, LEVELS).at("surviving", (2, 0)) == 1
+
+    def test_only_labels_unhashable(self):
+        labels = LongTermLabels(0, LEVELS)
+        assert not isinstance(labels, Hashable)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(labels)
+        for value in (MU_7_10, PARAMS, RunConfig(params=PARAMS)):
+            assert isinstance(value, Hashable)
+            assert hash(value) == hash(copy.copy(value))
 
 
 class TestInclusion:

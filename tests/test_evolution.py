@@ -4,6 +4,7 @@ construction against a from-scratch rebuild."""
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,36 +26,36 @@ MU = Mu(7, 10)
 def make_pair(left_sizes, mu=MU):
     pair = PairGraph(0, mu)
     for o, size in enumerate(left_sizes):
-        pair.add_left(o, size, {})
+        pair.add_left((0, o), size, {})
     return pair
 
 
 class TestPromotion:
     def test_strong_pair_promotes_both_directions(self):
         pair = make_pair([10])
-        added = pair.add_right(0, 10, {0: 9})
+        added = pair.add_right((1, 0), 10, {0: 9})
         assert {(e.forward) for e in added} == {True, False}
-        assert pair.fwd[0] == 0 and pair.fwd_in[0] == [(0, 9)]
-        assert pair.bwd[0] == 0 and pair.bwd_in[0] == [(0, 9)]
+        assert pair.fwd[0] == 0 and pair.fwd_in[0] == ((0, 9),)
+        assert pair.bwd[0] == 0 and pair.bwd_in[0] == ((0, 9),)
 
     def test_containment_promotes_forward_only(self):
         # a 4-athlete group fully inside a 12-athlete group: 4/4 covers,
         # 4/12 does not
         pair = make_pair([4])
-        added = pair.add_right(0, 12, {0: 4})
+        added = pair.add_right((1, 0), 12, {0: 4})
         assert [e.forward for e in added] == [True]
         assert pair.bwd == {}
 
     def test_exact_threshold_counts(self):
         # 7 of 10 at mu=7/10 is a relation; 6 of 10 is not
         pair = make_pair([10, 10])
-        assert [e.forward for e in pair.add_right(0, 100, {0: 7})] == [True]
-        assert pair.add_right(1, 100, {1: 6}) == []
+        assert [e.forward for e in pair.add_right((1, 0), 100, {0: 7})] == [True]
+        assert pair.add_right((1, 1), 100, {1: 6}) == []
 
     def test_strong_partner(self):
         pair = make_pair([10, 4])
-        pair.add_right(0, 10, {0: 9})
-        pair.add_right(1, 12, {1: 4})
+        pair.add_right((1, 0), 10, {0: 9})
+        pair.add_right((1, 1), 12, {1: 4})
         assert pair.strong_partner_of_left(0) == 0
         assert pair.strong_partner_of_left(1) is None  # forward only
 
@@ -66,21 +67,21 @@ class TestTentative:
 
     def test_materialize_promotes(self):
         pair = PairGraph(0, MU)
-        assert pair.add_right(0, 10, {}) == []
-        added = pair.add_left(0, 10, {0: 7})
+        assert pair.add_right((1, 0), 10, {}) == []
+        added = pair.add_left((0, 0), 10, {0: 7})
         # 7/10 covers in both directions at mu=7/10
         assert {e.forward for e in added} == {True, False}
         assert pair.fwd == {0: 0} and pair.bwd == {0: 0}
-        assert pair.fwd_in == {0: [(0, 7)]} and pair.bwd_in == {0: [(0, 7)]}
+        assert pair.fwd_in == {0: ((0, 7),)} and pair.bwd_in == {0: ((0, 7),)}
 
     def test_two_right_groups_share_one_component(self):
         pair = PairGraph(0, MU)
-        pair.add_right(0, 10, {})
-        pair.add_right(1, 8, {})
-        pair.add_left(0, 9, {0: 3, 1: 6})
+        pair.add_right((1, 0), 10, {})
+        pair.add_right((1, 1), 8, {})
+        pair.add_left((0, 0), 9, {0: 3, 1: 6})
         # 6 of 9 misses mu, 6 of 8 covers it: backward edge only
         assert pair.fwd == {}
-        assert pair.bwd == {1: 0} and pair.bwd_in == {0: [(1, 6)]}
+        assert pair.bwd == {1: 0} and pair.bwd_in == {0: ((1, 6),)}
 
 
 class TestFromMemberships:
@@ -91,11 +92,44 @@ class TestFromMemberships:
         # each shared count, 3 of 3 or of 4, covers mu = 7/10 both ways
         assert pair.fwd == {0: 0, 1: 1}
         assert pair.bwd == {0: 0, 1: 1}
-        assert pair.fwd_in == {0: [(0, 3)], 1: [(1, 3)]}
-        assert pair.bwd_in == {0: [(0, 3)], 1: [(1, 3)]}
+        assert pair.fwd_in == {0: ((0, 3),), 1: ((1, 3),)}
+        assert pair.bwd_in == {0: ((0, 3),), 1: ((1, 3),)}
         assert pair.left_sizes == [4, 3]
         assert pair.right_sizes == [4, 4]
         assert pair.right_cp == 3
+        assert pair.left_ids == [(2, 0), (2, 1)]
+        assert pair.right_ids == [(3, 0), (3, 1)]
+        assert pair.key == (2, 3)
+
+
+class TestGroupIds:
+    def test_ids_kept_as_given(self):
+        pair = PairGraph(4, MU)
+        left, right = (4, 0), (5, 0)
+        pair.add_left(left, 10, {})
+        pair.add_right(right, 10, {0: 9})
+        assert pair.left_ids[0] is left and pair.right_ids[0] is right
+
+    def test_wrong_control_point_refused(self):
+        pair = PairGraph(4, MU)
+        for add, group_id in (
+            (pair.add_left, (5, 0)),
+            (pair.add_left, (3, 0)),
+            (pair.add_right, (4, 0)),
+            (pair.add_right, (6, 0)),
+        ):
+            with pytest.raises(AssertionError):
+                add(group_id, 10, {})
+        assert pair.left_ids == pair.right_ids == []
+        assert pair.left_sizes == pair.right_sizes == []
+
+    def test_ordinal_out_of_turn_refused(self):
+        pair = PairGraph(4, MU)
+        with pytest.raises(AssertionError):
+            pair.add_left((4, 1), 10, {})
+        pair.add_left((4, 0), 10, {})
+        with pytest.raises(AssertionError):
+            pair.add_right((5, 1), 10, {})
 
 
 def expected_pair(left_cp, left_groups, right_groups, mu):

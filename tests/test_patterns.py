@@ -38,6 +38,7 @@ from racegroups.patterns import (
     detect_patterns,
 )
 from racegroups.pipeline import MODE_ONLINE, MODES, RaceAnalysis, RunConfig
+from racegroups.synth import GeneratorConfig, generate
 
 MU = Mu(7, 10)
 
@@ -555,3 +556,81 @@ class TestShortcutConstruction:
                 assert_whole(group, Group)
         for pattern_set in analysis.pattern_sets().values():
             self.check_set(pattern_set)
+
+
+def corner_race(levels):
+    """A race whose groups at each control point are the given member
+    sets: members cross 10 ms apart, groups 10 s apart, control points
+    1,000 s apart, so at epsilon 2 s each set is one component."""
+    events = []
+    for cp, groups in enumerate(levels):
+        for g, members in enumerate(groups):
+            t = cp * 1_000_000 + g * 10_000
+            events += [Event(a, cp, t + 10 * i) for i, a in enumerate(sorted(members))]
+    return sorted(events, key=lambda e: e.time)
+
+
+# the three configurations of TestCornerFlags, as races
+CORNER_RACES = [
+    corner_race(levels)
+    for levels in (
+        [[{0, 1, 2, 3, 4, 50, 51}, set(range(5, 19)) | set(range(60, 67))], [set(range(20))]],
+        [[set(range(20))], [set(range(14)) | set(range(70, 77)), set(range(14, 19)) | {80, 81}]],
+        [[set(range(17)), {90, 91}], [set(range(12)), set(range(12, 17)) | {90, 91}]],
+    )
+]
+
+
+class TestSharedIds:
+    """Records, flags and pattern sets name groups and pairs through the
+    engine's own Group.id tuples and each pair's key, and build no new
+    ones: finalized, online, mid-race and after the broom wagon."""
+
+    @staticmethod
+    def check_set(analysis, pattern_set, named):
+        pair = analysis.stack.pairs[pattern_set.pair[0]]
+        groups = analysis.engine.groups
+        assert pattern_set.pair is pair.key
+        for rec in pattern_set.records:
+            assert rec.pair is pair.key
+            for field in ("source", "target"):
+                group_id = getattr(rec, field)
+                if group_id is not None:
+                    assert group_id is groups[group_id[0]][group_id[1]].id
+                    named.add(field)
+            for field in ("sources", "targets", "absorbed", "spawned"):
+                for group_id in getattr(rec, field):
+                    assert group_id is groups[group_id[0]][group_id[1]].id
+                    named.add(field)
+        for flag, group_id in pattern_set.flags:
+            assert group_id is groups[group_id[0]][group_id[1]].id
+            named.add(flag)
+
+    def test_records_name_engine_ids(self):
+        params = Params(epsilon=2000, m=2, mu=MU)
+        scripted, _ = generate(GeneratorConfig(n_athletes=200, n_cps=8, params=params, seed=4))
+        named: set[str] = set()
+        for events in [scripted, ABSORBED_AFTER_SPAWNED, *CORNER_RACES]:
+            for mode in MODES:
+                analysis = RaceAnalysis(RunConfig(params=params, mode=mode))
+                analysis.ingest(events[: len(events) // 2])
+                for left_cp, pair in analysis.stack.pairs.items():
+                    self.check_set(analysis, analysis.snapshot(left_cp), named)
+                    if analysis.tracker is not None:
+                        self.check_set(analysis, analysis.tracker.snapshot(pair), named)
+                analysis.ingest(events[len(events) // 2 :])
+                analysis.finalize()
+                for left_cp, pattern_set in analysis.pattern_sets().items():
+                    self.check_set(analysis, pattern_set, named)
+                    self.check_set(analysis, analysis.snapshot(left_cp), named)
+        assert named == {
+            "source",
+            "target",
+            "sources",
+            "targets",
+            "absorbed",
+            "spawned",
+            FLAG_UNCLASSIFIED,
+            FLAG_DOUBLE_SOURCE,
+            FLAG_DOUBLE_TARGET,
+        }
