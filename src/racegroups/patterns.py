@@ -280,8 +280,9 @@ class PatternTracker:
     ) -> None:
         cp, ordinal = group.id
         for pair, edges in updates:
+            left_cp, right_cp = pair.key
             dirty: set[int] = set()
-            if pair.left_cp == cp - 1:
+            if right_cp == cp:
                 dirty.add(ordinal)  # the new right vertex
             for left, right, forward in edges:
                 if forward:
@@ -293,8 +294,8 @@ class PatternTracker:
                     dirty.update(r for r, _ in pair.bwd_in[left])
             if not dirty:
                 continue
-            owner = self._owner.setdefault(pair.left_cp, {})
-            refs = self._refs.setdefault(pair.left_cp, {})
+            owner = self._owner.setdefault(left_cp, {})
+            refs = self._refs.setdefault(left_cp, {})
             for right in dirty:
                 new = classify_target(pair, right)
                 old = owner.get(right)

@@ -118,17 +118,17 @@ class TestGroupIds:
             (pair.add_right, (4, 0)),
             (pair.add_right, (6, 0)),
         ):
-            with pytest.raises(AssertionError):
+            with pytest.raises(ValueError):
                 add(group_id, 10, {})
         assert pair.left_ids == pair.right_ids == []
         assert pair.left_sizes == pair.right_sizes == []
 
     def test_ordinal_out_of_turn_refused(self):
         pair = PairGraph(4, MU)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             pair.add_left((4, 1), 10, {})
         pair.add_left((4, 0), 10, {})
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             pair.add_right((5, 1), 10, {})
 
 
