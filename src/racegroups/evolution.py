@@ -40,7 +40,7 @@ the other side.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .core import Mu
 from .grouping import GroupId
@@ -152,33 +152,6 @@ class PairGraph:
         if right is not None and self.bwd.get(right) == ordinal:
             return right
         return None
-
-    @classmethod
-    def from_memberships(
-        cls,
-        left_cp: int,
-        left_sets: Sequence[Iterable[int]],
-        right_sets: Sequence[Iterable[int]],
-        mu: Mu,
-    ) -> "PairGraph":
-        """Build a finalized pair directly from explicit member sets.
-
-        Test/fixture convenience; goes through the same update path as
-        the streaming construction.
-        """
-        left = [set(s) for s in left_sets]
-        right = [set(s) for s in right_sets]
-        pair = cls(left_cp, mu)
-        for o, s in enumerate(left):
-            pair.add_left((left_cp, o), len(s), {})
-        for r, s in enumerate(right):
-            counts = {}
-            for o, ls in enumerate(left):
-                shared = len(ls & s)
-                if shared:
-                    counts[o] = shared
-            pair.add_right((left_cp + 1, r), len(s), counts)
-        return pair
 
 
 class GraphStack:

@@ -10,17 +10,16 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .core import Event, Mu, Params, strongly_related, weakly_related
 from .grouping import ABSENT, OUTLIER, PENDING, GroupId
 from .longterm import (
     KIND_BACKWARD,
     KIND_FORWARD,
-    KIND_RELATED,
     KIND_SURVIVING,
     LONGTERM_KINDS,
-    GlobalGraph,
+    LongestResult,
 )
 from .patterns import (
     APPEARS,
@@ -334,100 +333,79 @@ def _audit_definitions(
 
 
 def oracle_longterm(
-    levels: Sequence[Sequence[GroupId]],
-    fwd_edges: set[tuple[GroupId, GroupId]],
-    bwd_edges: set[tuple[GroupId, GroupId]],
-    max_groups: int = 40,
-) -> dict[str, dict[GroupId, int]]:
-    """Exact label values by exhaustive path enumeration, keyed by kind
-    and then by group.
+    levels: Sequence[Sequence[AbstractSet[int]]], mu: Mu, first_cp: int = 0
+) -> tuple[dict[str, dict[GroupId, int]], dict[str, LongestResult]]:
+    """Every group's long-term labels and each kind's longest behavior,
+    straight from the member sets.
 
-    Edges are given as (earlier group, later group) pairs regardless of
-    their direction: fwd_edges holds S ~ S', bwd_edges holds S' ~ S.
-    No memoization, no sweeping - plain recursive longest-path-to /
-    longest-path-from, which is what the incremental sweeps must match.
+    levels[i] lists the member sets of the groups at control point
+    first_cp + i, in ordinal order.  A step from S to S' one control
+    point later extends a surviving behavior when S ~ S' and S' ~ S, a
+    traceable-forward one when S ~ S', a traceable-backward one when
+    S' ~ S and a related one when either holds.  Each label is filled
+    in level by level (descending for lpB) from every linked group of
+    the adjacent level; nothing recurses, so no depth is too deep.
+
+    Returns ({kind: {group id: label}}, {kind: LongestResult}).  The
+    longest behavior belongs to the first group in (cp, ordinal) order
+    holding the largest label; its witness steps each time to the
+    lowest ordinal that is linked and labelled one less.
     """
-    total = sum(len(level) for level in levels)
-    if total > max_groups:
-        raise ValueError(f"oracle limited to {max_groups} groups, got {total}")
-    strong_edges = fwd_edges & bwd_edges
-    related_edges = fwd_edges | bwd_edges
-    by_level: dict[int, list[GroupId]] = defaultdict(list)
-    for level in levels:
-        for v in level:
-            by_level[v[0]].append(v)
+    steps = list(zip(levels, levels[1:]))
+    ahead = [[[weakly_related(s, t, mu) for t in right] for s in left] for left, right in steps]
+    back = [[[weakly_related(t, s, mu) for t in right] for s in left] for left, right in steps]
 
-    def preds(v: GroupId, edges: set) -> list[GroupId]:
-        return [u for u in by_level.get(v[0] - 1, ()) if (u, v) in edges]
-
-    def succs(v: GroupId, edges: set) -> list[GroupId]:
-        return [w for w in by_level.get(v[0] + 1, ()) if (v, w) in edges]
-
-    def longest_to(v: GroupId, edges: set) -> int:
-        best = 0
-        for u in preds(v, edges):
-            best = max(best, 1 + longest_to(u, edges))
-        return best
-
-    def longest_from(v: GroupId, edges: set) -> int:
-        best = 0
-        for w in succs(v, edges):
-            best = max(best, 1 + longest_from(w, edges))
-        return best
-
-    labels: dict[str, dict[GroupId, int]] = {kind: {} for kind in LONGTERM_KINDS}
-    for level in levels:
-        for v in level:
-            labels[KIND_SURVIVING][v] = longest_to(v, strong_edges)
-            labels[KIND_FORWARD][v] = longest_to(v, fwd_edges)
-            labels[KIND_BACKWARD][v] = longest_from(v, bwd_edges)
-            labels[KIND_RELATED][v] = longest_to(v, related_edges)
-    return labels
-
-
-def _linked(graph: GlobalGraph, kind: str, u: GroupId, v: GroupId) -> bool:
-    """Whether the step u -> v (v one control point after u) extends a
-    behavior of this kind."""
-    if kind == KIND_SURVIVING:
-        return graph.fwd.get(u) == v and graph.bwd.get(v) == u
-    if kind == KIND_FORWARD:
-        return graph.fwd.get(u) == v
-    if kind == KIND_BACKWARD:
-        return graph.bwd.get(v) == u
-    return graph.fwd.get(u) == v or graph.bwd.get(v) == u
-
-
-def oracle_walk(
-    graph: GlobalGraph, labels: Mapping[GroupId, int], v: GroupId, kind: str
-) -> list[GroupId]:
-    """Reference witness walk: the path whose label ends (for lpB:
-    starts) at v, in ascending control-point order.  Each step scans
-    the whole adjacent level, the groups of that control point among
-    the labels' keys, in ordinal order, for the first group linked to v
-    whose label is one less."""
-
-    def level(cp: int) -> list[GroupId]:
-        return sorted(u for u in labels if u[0] == cp)
-
-    path = [v]
-    while labels[v] > 0:
-        want = labels[v] - 1
+    def linked(kind: str, i: int, o: int, r: int) -> bool:
+        """Whether (i, o) -> (i + 1, r) extends a behavior of this kind."""
+        if kind == KIND_SURVIVING:
+            return ahead[i][o][r] and back[i][o][r]
+        if kind == KIND_FORWARD:
+            return ahead[i][o][r]
         if kind == KIND_BACKWARD:
-            v = next(
-                w
-                for w in level(v[0] + 1)
-                if labels[w] == want and _linked(graph, kind, v, w)
-            )
+            return back[i][o][r]
+        return ahead[i][o][r] or back[i][o][r]
+
+    def after(kind: str, i: int, o: int) -> list[int]:
+        """The ordinals at level i + 1 that (i, o) links to, ascending."""
+        return [r for r in range(len(levels[i + 1])) if linked(kind, i, o, r)]
+
+    def before(kind: str, i: int, r: int) -> list[int]:
+        """The ordinals at level i - 1 that link to (i, r), ascending."""
+        return [o for o in range(len(levels[i - 1])) if linked(kind, i - 1, o, r)]
+
+    cells = [(i, o) for i, level in enumerate(levels) for o in range(len(level))]
+    labels: dict[str, dict[GroupId, int]] = {}
+    longest: dict[str, LongestResult] = {}
+    for kind in LONGTERM_KINDS:
+        value = [[0] * len(level) for level in levels]
+        if kind == KIND_BACKWARD:
+            for i in reversed(range(len(steps))):
+                for o in range(len(levels[i])):
+                    value[i][o] = max((value[i + 1][r] + 1 for r in after(kind, i, o)), default=0)
         else:
-            v = next(
-                u
-                for u in level(v[0] - 1)
-                if labels[u] == want and _linked(graph, kind, u, v)
-            )
-        path.append(v)
-    if kind != KIND_BACKWARD:
-        path.reverse()
-    return path
+            for i in range(1, len(levels)):
+                for r in range(len(levels[i])):
+                    value[i][r] = max((value[i - 1][o] + 1 for o in before(kind, i, r)), default=0)
+        labels[kind] = {(first_cp + i, o): value[i][o] for i, o in cells}
+        if not cells:
+            longest[kind] = LongestResult(kind, 0, 0, ())
+            continue
+        # max() keeps the first of equal maxima, in (cp, ordinal) order
+        i, o = max(cells, key=lambda cell: value[cell[0]][cell[1]])
+        path = [(i, o)]
+        while value[i][o]:
+            want = value[i][o] - 1
+            if kind == KIND_BACKWARD:
+                linked_to, i = after(kind, i, o), i + 1
+            else:
+                linked_to, i = before(kind, i, o), i - 1
+            o = next(u for u in linked_to if value[i][u] == want)
+            path.append((i, o))
+        if kind != KIND_BACKWARD:
+            path.reverse()
+        witness = tuple((first_cp + i, o) for i, o in path)
+        longest[kind] = LongestResult(kind, len(path) - 1, len(path), witness)
+    return labels, longest
 
 
 def oracle_histories(

@@ -243,7 +243,7 @@ def _pattern_set(
 def detect_patterns(pair: PairGraph) -> PatternSet:
     """Classify every group of a pair of a finalized race (batch mode).
     Mid-stream a pair lacks the groups still open, so its answer may
-    be wrong; the online tracker's snapshot gives the transitory one."""
+    be wrong; RaceAnalysis.snapshot(left_cp) gives the transitory one."""
     return _pattern_set(
         pair,
         (classify_target(pair, r) for r in range(len(pair.right_sizes))),

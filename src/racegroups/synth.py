@@ -22,10 +22,12 @@ corridors touch.  Within a chunk, consecutive gaps are seeded jitter
 in [0, epsilon]; between chunks the gap is exactly epsilon + 1.
 
 Ground truth per pack is computed from the script alone - chunk
-membership is deterministic - by running the literal pattern
-definitions over consecutive formations and the label sweeps over the
-resulting small graph.  Pack times never enter, so the prediction is
-independent of jitter, bands and corridor placement.
+membership is deterministic - by the brute-force oracles, on the
+formations' member sets: oracle_patterns classifies each consecutive
+pair, and oracle_longterm finds the longest chain of each long-term
+kind.  Neither runs the analysis layers the truth is checked against.
+Pack times never enter, so the prediction is independent of jitter,
+bands and corridor placement.
 """
 
 from __future__ import annotations
@@ -34,9 +36,8 @@ import random
 from dataclasses import dataclass
 
 from .core import Event, Params
-from .evolution import PairGraph
-from .longterm import LONGTERM_KINDS, build_global, compute_labels, longest_all
-from .oracles import oracle_patterns
+from .longterm import LONGTERM_KINDS
+from .oracles import oracle_longterm, oracle_patterns
 from .patterns import KINDS
 
 # how much further back, per control point, each pace band shifts a
@@ -211,7 +212,6 @@ def _script_truth(script: Script, pack_size: int, params: Params):
     mu = params.mu
     levels = _formation(script, pack_size, params.m)
     counts = []
-    pairs = []
     for c in range(len(levels) - 1):
         pattern_set, violations = oracle_patterns(
             levels[c], levels[c + 1], mu, left_cp=c
@@ -228,10 +228,8 @@ def _script_truth(script: Script, pack_size: int, params: Params):
                 f"be exact"
             )
         counts.append(pattern_set.counts())
-        pairs.append(PairGraph.from_memberships(c, levels[c], levels[c + 1], mu))
-    graph = build_global(pairs)
-    results = longest_all(graph, compute_labels(graph))
-    maxima = {kind: results[kind].length_edges for kind in LONGTERM_KINDS}
+    _, longest = oracle_longterm(levels, mu)
+    maxima = {kind: longest[kind].length_edges for kind in LONGTERM_KINDS}
     group_counts = [len(level) for level in levels]
     return counts, maxima, group_counts
 

@@ -15,6 +15,7 @@ from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
 from racegroups.core import Event, Mu, Params
+from racegroups.evolution import PairGraph
 from racegroups.pipeline import MODE_ONLINE, RaceAnalysis, RunConfig
 
 # `pytest --hypothesis-profile=ci`: every example is still generated and
@@ -115,6 +116,25 @@ def slow_tail_streams(draw):
         events.extend(Event(a, cp, at[a]) for a in range(n_ath) if present[a])
     events.sort(key=lambda e: e.time)
     return events, Params(epsilon=2000, m=3, mu=Mu(7, 10))
+
+
+def pair_from_memberships(left_cp, left_sets, right_sets, mu):
+    """A finalized pair built from explicit member sets, through the
+    same add_left/add_right calls as the streaming construction: every
+    left group first, then each right group with its shared counts."""
+    left = [set(s) for s in left_sets]
+    right = [set(s) for s in right_sets]
+    pair = PairGraph(left_cp, mu)
+    for o, s in enumerate(left):
+        pair.add_left((left_cp, o), len(s), {})
+    for r, s in enumerate(right):
+        counts = {}
+        for o, ls in enumerate(left):
+            shared = len(ls & s)
+            if shared:
+                counts[o] = shared
+        pair.add_right((left_cp + 1, r), len(s), counts)
+    return pair
 
 
 def run_stream(events, params):

@@ -15,7 +15,7 @@ import time
 from racegroups.core import Event, Mu, Params
 from racegroups.evolution import GraphStack
 from racegroups.grouping import GroupingEngine
-from racegroups.longterm import KIND_SURVIVING, build_global, compute_labels
+from racegroups.longterm import KIND_SURVIVING, build_global, compute_labels, longest_all
 from racegroups.oracles import oracle_groups, oracle_longterm, oracle_patterns
 from racegroups.patterns import APPEARS, DISAPPEARS, detect_patterns
 from racegroups.pipeline import RunConfig, epsilon_sweep, run
@@ -93,32 +93,23 @@ def test_criterion_1_oracle_equivalence(record_property):
             assert got.records == expected.records, f"seed={seed} pair={pair.left_cp}"
             assert got.flags == expected.flags, f"seed={seed} pair={pair.left_cp}"
 
+        first = min(cps)
         levels = [
-            [g.id for g in engine.groups_at(cp)]
-            for cp in range(min(cps), max(cps) + 1)
+            [g.member_set() for g in engine.groups_at(cp)]
+            for cp in range(first, max(cps) + 1)
         ]
-        fwd_edges = {
-            ((pair.left_cp, l), (pair.right_cp, r))
-            for pair in pairs
-            for l, r in pair.fwd.items()
-        }
-        bwd_edges = {
-            ((pair.left_cp, l), (pair.right_cp, r))
-            for pair in pairs
-            for r, l in pair.bwd.items()
-        }
-        expected_labels = oracle_longterm(
-            levels, fwd_edges, bwd_edges, max_groups=10**6
-        )
-        labels = compute_labels(build_global(pairs))
+        expected_labels, expected_longest = oracle_longterm(levels, params.mu, first)
+        graph = build_global(pairs)
+        labels = compute_labels(graph)
         for kind, expected in expected_labels.items():
-            got = {v: labels.at(kind, v) for level in levels for v in level}
+            got = {v: labels.at(kind, v) for v in expected}
             assert got == expected, f"{kind} seed={seed}"
+        assert longest_all(graph, labels) == expected_longest, f"seed={seed}"
 
     elapsed = time.perf_counter() - started
     record_property(
         "detail",
-        f"{n_instances} seeded instances, groups+patterns+labels exact, "
+        f"{n_instances} seeded instances, groups+patterns+labels+witnesses exact, "
         f"{elapsed:.1f}s < 60s",
     )
     assert elapsed < 60.0, f"oracle sweep took {elapsed:.1f}s, budget 60s"

@@ -12,6 +12,7 @@ from conftest import (
     cohort_streams,
     complete_pairs,
     overlapping_streams,
+    pair_from_memberships,
     run_stream,
     slow_tail_streams,
 )
@@ -88,7 +89,7 @@ class TestFromMemberships:
     def test_weights_are_intersections(self):
         left = [{1, 2, 3, 4}, {5, 6, 7}]
         right = [{1, 2, 3, 9}, {5, 6, 7, 8}]
-        pair = PairGraph.from_memberships(2, left, right, MU)
+        pair = pair_from_memberships(2, left, right, MU)
         # each shared count, 3 of 3 or of 4, covers mu = 7/10 both ways
         assert pair.fwd == {0: 0, 1: 1}
         assert pair.bwd == {0: 0, 1: 1}
@@ -133,7 +134,7 @@ class TestGroupIds:
 
 
 def expected_pair(left_cp, left_groups, right_groups, mu):
-    return PairGraph.from_memberships(
+    return pair_from_memberships(
         left_cp,
         [members for members, _, _ in left_groups],
         [members for members, _, _ in right_groups],

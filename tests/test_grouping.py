@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pair_from_memberships
 from racegroups.core import Event, Mu, Params
 from racegroups.evolution import PairGraph
 from racegroups.grouping import (
@@ -379,7 +380,7 @@ def _expected_pairs(histories, mu):
     for cp in lefts:
         left = [members[cp][o] for o in range(len(members[cp]))]
         right = [members[cp + 1][r] for r in range(len(members[cp + 1]))]
-        expected[cp] = PairGraph.from_memberships(cp, left, right, mu)
+        expected[cp] = pair_from_memberships(cp, left, right, mu)
     return expected
 
 

@@ -1049,6 +1049,23 @@ class TestCli:
         splits = [l for l in out.splitlines() if "kind=splits" in l]
         assert len(splits) == 2
 
+    def test_generate_random_truth_matches_golden(self, tmp_path):
+        # tests/data/random_truth.txt is this command's truth file; no
+        # long-term maximum of this race reaches n_cps - 1
+        truth_path = tmp_path / "r_truth.txt"
+        rc, _, _ = run_cli(
+            [
+                "generate",
+                "--athletes", "1000",
+                "--cps", "40",
+                "--seed", "11",
+                "--events", str(tmp_path / "r.csv"),
+                "--truth", str(truth_path),
+            ]
+        )
+        assert rc == 0
+        assert truth_path.read_text() == (DATA / "random_truth.txt").read_text()
+
     def test_generate_marathon_has_no_truth(self, tmp_path):
         events_path = str(tmp_path / "field.csv")
         rc, _, err = run_cli(

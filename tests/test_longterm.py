@@ -10,11 +10,11 @@ from conftest import (
     cohort_streams,
     complete_pairs,
     overlapping_streams,
+    pair_from_memberships,
     run_stream,
     slow_tail_streams,
 )
 from racegroups.core import Mu, Params
-from racegroups.evolution import PairGraph
 from racegroups.longterm import (
     KIND_BACKWARD,
     KIND_FORWARD,
@@ -27,7 +27,7 @@ from racegroups.longterm import (
     longest,
     longest_all,
 )
-from racegroups.oracles import oracle_longterm, oracle_walk
+from racegroups.oracles import oracle_longterm
 from racegroups.pipeline import RunConfig, run
 from racegroups.synth import GeneratorConfig, generate
 
@@ -37,7 +37,7 @@ MU = Mu(7, 10)
 def chain_pairs(memberships, mu=MU, first_cp=0):
     """Pair graphs for consecutive membership levels."""
     return [
-        PairGraph.from_memberships(first_cp + i, left, right, mu)
+        pair_from_memberships(first_cp + i, left, right, mu)
         for i, (left, right) in enumerate(zip(memberships, memberships[1:]))
     ]
 
@@ -68,13 +68,13 @@ class TestBuildGlobal:
         assert graph.bwd == {(1, 0): (0, 0)}
 
     def test_gap_rejected(self):
-        pairs = strong_chain(2) + [PairGraph.from_memberships(5, [], [], MU)]
+        pairs = strong_chain(2) + [pair_from_memberships(5, [], [], MU)]
         with pytest.raises(ValueError):
             build_global(pairs)
 
     def test_inconsistent_counts_rejected(self):
-        a = PairGraph.from_memberships(0, [set(range(10))], [set(range(10))], MU)
-        b = PairGraph.from_memberships(1, [], [set(range(10))], MU)
+        a = pair_from_memberships(0, [set(range(10))], [set(range(10))], MU)
+        b = pair_from_memberships(1, [], [set(range(10))], MU)
         with pytest.raises(ValueError):
             build_global([a, b])
 
@@ -253,16 +253,11 @@ class TestLongest:
             longest(graph, compute_labels(graph), "sideways")
 
 
-def edge_sets(pairs):
-    """The pairs' forward and backward edges as (earlier group, later
-    group) sets, as oracle_longterm takes them."""
-    fwd, bwd = set(), set()
-    for p in pairs:
-        for o, r in p.fwd.items():
-            fwd.add(((p.left_cp, o), (p.right_cp, r)))
-        for r, o in p.bwd.items():
-            bwd.add(((p.left_cp, o), (p.right_cp, r)))
-    return fwd, bwd
+def member_levels(engine, graph):
+    """The member sets of the graph's groups, one list per control
+    point in ordinal order, as the engine formed them: what
+    oracle_longterm takes, with graph.first."""
+    return [[g.member_set() for g in engine.groups_at(cp)] for cp in graph.counts]
 
 
 def _graph_of(events, params):
@@ -291,10 +286,9 @@ class TestProperties:
     def test_labels_match_oracle(self, case):
         events, params = case
         engine, stack, _ = run_stream(events, params)
-        pairs = complete_pairs(engine, stack)
-        graph = build_global(pairs)
+        graph = build_global(complete_pairs(engine, stack))
         labels = compute_labels(graph)
-        want = oracle_longterm(levels_of(graph), *edge_sets(pairs), max_groups=60)
+        want, _ = oracle_longterm(member_levels(engine, graph), params.mu, graph.first)
         for kind in LONGTERM_KINDS:
             assert table(labels, graph, kind) == want[kind], kind
 
@@ -328,21 +322,14 @@ class TestWitnessWalk:
         # with two or more groups of the wanted label to choose from
         events, params = case
         engine, stack, _ = run_stream(events, params)
-        pairs = complete_pairs(engine, stack)
-        graph = build_global(pairs)
+        graph = build_global(complete_pairs(engine, stack))
         labels = compute_labels(graph)
-        results = longest_all(graph, labels)
-        want = oracle_longterm(levels_of(graph), *edge_sets(pairs), max_groups=100)
+        want, want_longest = oracle_longterm(
+            member_levels(engine, graph), params.mu, graph.first
+        )
+        assert longest_all(graph, labels) == want_longest
         for kind in LONGTERM_KINDS:
-            oracle = want[kind]
-            assert table(labels, graph, kind) == oracle, kind
-            if not oracle:
-                assert results[kind] == LongestResult(kind, 0, 0, ())
-                continue
-            best = max(oracle, key=oracle.__getitem__)  # first in (cp, o) order
-            path = oracle_walk(graph, oracle, best, kind)
-            assert results[kind].witness == tuple(path), kind
-            assert results[kind].length_edges == oracle[best]
+            assert table(labels, graph, kind) == want[kind], kind
 
 
 class TestBuiltOnRead:

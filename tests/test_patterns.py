@@ -10,11 +10,12 @@ from conftest import (
     cohort_streams,
     complete_pairs,
     overlapping_streams,
+    pair_from_memberships,
     run_stream,
     slow_tail_streams,
 )
 from racegroups.core import Event, Mu, Params
-from racegroups.evolution import EdgeAdded, PairGraph
+from racegroups.evolution import EdgeAdded
 from racegroups.grouping import FinishedComponent, Group
 from racegroups.oracles import oracle_patterns
 from racegroups.patterns import (
@@ -62,7 +63,7 @@ ABSORBED_AFTER_SPAWNED = sorted(
 
 
 def pair_of(left_sets, right_sets, mu=MU, left_cp=0):
-    return PairGraph.from_memberships(left_cp, left_sets, right_sets, mu)
+    return pair_from_memberships(left_cp, left_sets, right_sets, mu)
 
 
 def kinds_of(pattern_set):

@@ -3,10 +3,15 @@ between predicted ground truth and the actual analysis pipeline."""
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
+import racegroups.longterm
+import racegroups.synth
 from conftest import complete_pairs, run_stream
 from racegroups.core import Mu, Params
+from racegroups.evolution import PairGraph
 from racegroups.longterm import (
     KIND_BACKWARD,
     KIND_FORWARD,
@@ -299,6 +304,47 @@ class TestPipelineAgreement:
         events, _ = generate(config(seed=7))
         engine, _, _ = run_pipeline(events)
         assert engine.anomalies == []
+
+
+class TestIndependentTruth:
+    """The long-term truth comes from the member sets of the scripted
+    formations, not from the sweeps it is checked against."""
+
+    def test_truth_runs_no_analysis_layer(self, monkeypatch):
+        scripted = config(
+            n_packs=3,
+            n_cps=6,
+            scripts=(
+                (
+                    Behavior.constant(),
+                    Behavior.divide(2),
+                    Behavior.constant(),
+                    Behavior.divide((18, 7)),
+                    Behavior.explode(),
+                    Behavior.constant(),
+                ),
+            ),
+        )
+        configs = (scripted, config(n_packs=5, n_cps=8, seed=3))
+        want = [generate(cfg) for cfg in configs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the generator ran an analysis layer")
+
+        for name in ("build_global", "compute_labels", "longest_all"):
+            monkeypatch.setattr(racegroups.longterm, name, refuse)
+            monkeypatch.setattr(racegroups.synth, name, refuse, raising=False)
+        for name in ("add_left", "add_right"):
+            monkeypatch.setattr(PairGraph, name, refuse)
+        assert [generate(cfg) for cfg in configs] == want
+
+    def test_no_depth_limit(self):
+        # one constant pack over more control points than the
+        # interpreter's recursion limit
+        n_cps = 1200
+        assert n_cps > sys.getrecursionlimit()
+        _, truth = generate(config(n_packs=1, n_cps=n_cps, scripts=(constant_script(n_cps),)))
+        assert truth.longterm_edges == dict.fromkeys(LONGTERM_KINDS, n_cps - 1)
 
 
 class TestFieldGenerator:
