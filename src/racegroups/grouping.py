@@ -119,8 +119,8 @@ class GroupingEngine:
         # lists keep the per-event work to a few dict/list operations
         self._active: dict[int, list] = {}
         self.groups: dict[int, list[Group]] = {}
-        self.outliers: dict[int, list[int]] = {}
         self.component_counts: dict[int, int] = {}
+        self.outlier_counts: dict[int, int] = {}  # cp -> outlier athletes
         self._slot_of: dict[int, int] = {}  # athlete -> slot
         self._athletes: list[int] = []  # slot -> athlete
         self._passed: list[int] = []  # slot -> last control point passed + 1
@@ -315,10 +315,7 @@ class GroupingEngine:
                 if pending:
                     self._active[cp - 1][4][ordinal] = pending
             return tuple.__new__(FinishedComponent, (cp, members, group, before, after))
-        bucket = self.outliers.get(cp)
-        if bucket is None:
-            bucket = self.outliers[cp] = []
-        bucket.extend(members)
+        self.outlier_counts[cp] = self.outlier_counts.get(cp, 0) + len(members)
         for slot in slots:
             column[slot] = OUTLIER
         return tuple.__new__(FinishedComponent, (cp, members, None, {}, {}))
@@ -404,11 +401,6 @@ class GroupingEngine:
             raise IndexError(f"control point {cp} out of range")
         return list(self.groups.get(cp, ()))
 
-    def outliers_at(self, cp: int) -> list[int]:
-        if cp < 0:
-            raise IndexError(f"control point {cp} out of range")
-        return list(self.outliers.get(cp, ()))
-
     def n_components_at(self, cp: int) -> int:
         """How many epsilon-connected components finished at cp.
 
@@ -425,14 +417,15 @@ class GroupingEngine:
         """
         active = self._active.get(cp)
         return (
-            sum(g.size for g in self.groups.get(cp, ()))
-            + len(self.outliers.get(cp, ()))
+            sum([len(g.members) for g in self.groups.get(cp, ())])
+            + self.outlier_counts.get(cp, 0)
             + (len(active[0]) if active is not None else 0)
         )
 
     def known_cps(self) -> list[int]:
-        cps = set(self.groups) | set(self.outliers) | set(self._active)
-        return sorted(cps)
+        """The control points with a crossing: every finished component
+        is counted in component_counts."""
+        return sorted(self.component_counts.keys() | self._active.keys())
 
 
 def _negative_cp(athlete: int, cp: int, t: int) -> ValueError:

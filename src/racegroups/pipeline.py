@@ -219,14 +219,14 @@ class RaceAnalysis:
         engine = self.engine
         stats = []
         for cp in engine.known_cps():
-            # read in place: groups_at and outliers_at return copies
+            # read in place: groups_at returns a copy
             sizes = [len(g.members) for g in engine.groups.get(cp, ())]
             stats.append(
                 GroupStats(
                     cp=cp,
                     n_components=engine.n_components_at(cp),
                     n_groups=len(sizes),
-                    n_outliers=len(engine.outliers.get(cp, ())),
+                    n_outliers=engine.outlier_counts.get(cp, 0),
                     largest_group=max(sizes, default=0),
                     crossed=engine.n_crossed_at(cp),
                 )

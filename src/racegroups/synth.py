@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import Event, Params
 from .longterm import LONGTERM_KINDS
@@ -239,9 +240,9 @@ _SCRIPT_RETRIES = 20
 
 def _random_script(
     rng: random.Random, n_cps: int, pack_size: int, params: Params
-) -> Script:
+) -> tuple[Script, tuple]:
     """A seeded script biased toward steady running, retried if a draw
-    lands on one of the rare ambiguous transitions."""
+    lands on one of the rare ambiguous transitions, and its truth."""
     m = params.m
     can_halve = pack_size >= 2 * m
     can_third = pack_size >= 3 * m
@@ -262,12 +263,13 @@ def _random_script(
             else:
                 beh = Behavior.explode()
             script.append(beh)
+        drawn = tuple(script)
         try:
-            _script_truth(tuple(script), pack_size, params)
+            return drawn, _script_truth(drawn, pack_size, params)
         except InfeasibleScriptError:
             continue
-        return tuple(script)
-    return (Behavior.constant(),) * n_cps
+    script = (Behavior.constant(),) * n_cps
+    return script, _script_truth(script, pack_size, params)
 
 
 def generate(config: GeneratorConfig) -> tuple[list[Event], GroundTruth]:
@@ -282,22 +284,23 @@ def generate(config: GeneratorConfig) -> tuple[list[Event], GroundTruth]:
     n_packs = config.n_packs()
     rng = random.Random(config.seed)
 
+    truth_memo: dict[Script, tuple] = {}
     if config.scripts is not None:
         scripts = [
             config.scripts[p % len(config.scripts)] for p in range(n_packs)
         ]
     else:
-        scripts = [
-            _random_script(rng, config.n_cps, pack_size, params)
-            for _ in range(n_packs)
-        ]
+        scripts = []
+        for _ in range(n_packs):
+            script, script_truth = _random_script(rng, config.n_cps, pack_size, params)
+            truth_memo[script] = script_truth
+            scripts.append(script)
 
     pair_counts = {
         (c, c + 1): dict.fromkeys(KINDS, 0) for c in range(config.n_cps - 1)
     }
     longterm_edges = dict.fromkeys(LONGTERM_KINDS, 0)
     group_counts = dict.fromkeys(range(config.n_cps), 0)
-    truth_memo: dict[Script, tuple] = {}
     for script in scripts:
         cached = truth_memo.get(script)
         if cached is None:
@@ -323,6 +326,8 @@ def generate(config: GeneratorConfig) -> tuple[list[Event], GroundTruth]:
     chunk_gap = eps + 1
 
     events: list[Event] = []
+    append = events.append
+    new = tuple.__new__  # skips the Python-level __new__ of a NamedTuple call
     for p, script in enumerate(scripts):
         band = p * config.n_bands // n_packs
         first_athlete = p * pack_size
@@ -333,10 +338,10 @@ def generate(config: GeneratorConfig) -> tuple[list[Event], GroundTruth]:
                 for i in range(size):
                     if i:
                         t += rng.randint(0, eps)
-                    events.append(Event(athlete, c, t))
+                    append(new(Event, (athlete, c, t)))
                     athlete += 1
                 t += chunk_gap
-    events.sort(key=lambda e: (e.time, e.cp, e.athlete))
+    events.sort(key=itemgetter(2, 1, 0))  # (time, cp, athlete)
     truth = GroundTruth(
         pair_counts=pair_counts,
         longterm_edges=longterm_edges,

@@ -28,6 +28,11 @@ def params(epsilon=2000, m=3, mu=Mu(7, 10)):
     return Params(epsilon=epsilon, m=m, mu=mu)
 
 
+def outliers_at(eng, cp):
+    """The athletes whose code at cp reads OUTLIER, in first-seen order."""
+    return [a for a, _, _, codes in eng.crossing_rows([cp]) if codes[0] == OUTLIER]
+
+
 def seconds_stream(cp, times_s, first_athlete=0):
     return [
         Event(first_athlete + i, cp, t * 1000) for i, t in enumerate(times_s)
@@ -52,7 +57,7 @@ class TestIngest:
         eng.finalize_all(on_finish=outs.append)
         assert outs[0].group is None
         assert eng.groups_at(0) == []
-        assert sorted(eng.outliers_at(0)) == [0, 1, 2, 3, 4, 5]
+        assert sorted(outliers_at(eng, 0)) == [0, 1, 2, 3, 4, 5]
         for a in range(6):
             assert eng.history(a)[0] == [OUTLIER]
 
@@ -65,7 +70,7 @@ class TestIngest:
         )
         eng.finalize_all()
         assert [g.members for g in eng.groups_at(0)] == [(0, 1)]
-        assert eng.outliers_at(0) == [2]
+        assert outliers_at(eng, 0) == [2]
 
     def test_boundary_gap_exactly_epsilon_connects(self):
         eng = GroupingEngine(params(epsilon=2000, m=2))
@@ -117,7 +122,7 @@ class TestIngest:
             eng.ingest_many([Event(4, 0, 50)])
         eng.finalize_all()
         assert [g.members for g in eng.groups_at(0)] == [(1, 2)]
-        assert eng.outliers_at(0) == [3]
+        assert outliers_at(eng, 0) == [3]
         assert eng.n_components_at(0) == 2
 
     def test_equal_timestamps_processed_in_input_order(self):
@@ -506,7 +511,7 @@ def test_partition_and_gap_law(raw, eps, m):
     for cp, everyone in crossed.items():
         in_groups = [a for g in eng.groups_at(cp) for a in g.members]
         assert len(in_groups) == len(set(in_groups))  # no double membership
-        assert set(in_groups) | set(eng.outliers_at(cp)) == everyone
+        assert set(in_groups) | set(outliers_at(eng, cp)) == everyone
         for g in eng.groups_at(cp):
             times = sorted(eng.history(a)[1][cp] for a in g.members)
             assert all(b - a <= eps for a, b in zip(times, times[1:]))

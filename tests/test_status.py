@@ -1,8 +1,9 @@
-"""Athlete-facing readers against a per-athlete rebuild.
+"""Athlete-facing readers and per-cp stats against a rebuild.
 
 Positions, histories, last crossings, the default ranking and pace
 jumps are read off the engine's columns; oracles.py rebuilds every
-athlete's history from the definitions and scans it.  The streams are
+athlete's history from the definitions and scans it.  The per-cp
+stats are rebuilt from the accepted crossings alone.  The streams are
 messy on purpose: duplicate crossings, skipped and backfilled control
 points, times that do not increase and equal timestamps, fed in random
 ingest() batches, in both modes.
@@ -10,6 +11,7 @@ ingest() batches, in both modes.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate
 
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from racegroups.core import Event, Mu, Params
 from racegroups.grouping import ABSENT, ANOMALY_PACE, OUTLIER, PENDING
 from racegroups.oracles import oracle_histories, oracle_pace_jumps, oracle_position
-from racegroups.pipeline import MODES, RaceAnalysis, RunConfig
+from racegroups.pipeline import MODES, GroupStats, RaceAnalysis, RunConfig
 
 
 def _token(cp: int, code: int) -> str:
@@ -202,3 +204,52 @@ def test_readers_match_per_athlete_rebuild(race):
         _check(analysis, events[:start], finalized=False)
     analysis.finalize()
     _check(analysis, events, finalized=True)
+
+
+def _expected_stats(fed: list[Event], params: Params, finalized: bool) -> list[GroupStats]:
+    """Per control point with a crossing: the accepted crossings (those
+    oracle_histories does not mark ABSENT), sorted by time and split
+    into runs at gaps over epsilon.  Every run is a component; all but
+    the last have finished, and the last too once finalized.  A finished
+    run of at least m is a group, a shorter one's athletes are outliers."""
+    at_cp: dict[int, list[int]] = defaultdict(list)
+    for codes, times in oracle_histories(fed, params, finalized).values():
+        for cp, (code, t) in enumerate(zip(codes, times)):
+            if code != ABSENT:
+                at_cp[cp].append(t)
+    stats = []
+    for cp, crossings in sorted(at_cp.items()):
+        runs: list[list[int]] = []
+        for t in sorted(crossings):
+            if not runs or t - runs[-1][-1] > params.epsilon:
+                runs.append([])
+            runs[-1].append(t)
+        done = [len(run) for run in (runs if finalized else runs[:-1])]
+        groups = [size for size in done if size >= params.m]
+        stats.append(
+            GroupStats(
+                cp=cp,
+                n_components=len(runs),
+                n_groups=len(groups),
+                n_outliers=sum(done) - sum(groups),
+                largest_group=max(groups, default=0),
+                crossed=len(crossings),
+            )
+        )
+    return stats
+
+
+@given(race=messy_races())
+@settings(max_examples=100, deadline=None)
+def test_group_stats_match_runs_of_accepted_crossings(race):
+    events, cuts, config = race
+    for mode in MODES:
+        analysis = RaceAnalysis(RunConfig(config.params, mode))
+        start = 0
+        for cut in cuts + [len(events)]:
+            analysis.ingest(events[start:cut])
+            start = max(start, cut)
+            fed = events[:start]
+            assert analysis.group_stats() == _expected_stats(fed, config.params, False)
+        analysis.finalize()
+        assert analysis.group_stats() == _expected_stats(events, config.params, True)

@@ -3,6 +3,7 @@ between predicted ground truth and the actual analysis pipeline."""
 
 from __future__ import annotations
 
+import hashlib
 import sys
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import racegroups.longterm
 import racegroups.synth
 from conftest import complete_pairs, run_stream
-from racegroups.core import Mu, Params
+from racegroups.core import Event, Mu, Params
 from racegroups.evolution import PairGraph
 from racegroups.longterm import (
     KIND_BACKWARD,
@@ -148,6 +149,54 @@ class TestDeterminism:
         assert a_truth.pair_counts == b_truth.pair_counts
         assert a_truth.longterm_edges == b_truth.longterm_edges
         assert a_truth.group_counts == b_truth.group_counts
+
+    @pytest.mark.parametrize(
+        "cfg, n_events, digest",
+        [
+            (
+                config(n_packs=40, n_cps=30, seed=5),
+                30000,
+                "cabd529419f22da5ef31b8f88c9a42d225beff05d923d4628b66e80a0aae52db",
+            ),
+            (
+                config(
+                    n_packs=6,
+                    n_cps=6,
+                    seed=4,
+                    scripts=(
+                        (
+                            Behavior.constant(),
+                            Behavior.divide(2),
+                            Behavior.constant(),
+                            Behavior.divide((18, 7)),
+                            Behavior.explode(),
+                            Behavior.constant(),
+                        ),
+                        (
+                            Behavior.constant(),
+                            Behavior.divide(3),
+                            Behavior.constant(),
+                            Behavior.explode(),
+                            Behavior.constant(),
+                            Behavior.divide(2),
+                        ),
+                    ),
+                ),
+                900,
+                "88d9ff31694eeaca0f084ccbe37b68db6066bfdccb22e364d07f0b5c8793f9c0",
+            ),
+        ],
+        ids=["random", "scripted"],
+    )
+    def test_event_stream_pinned(self, cfg, n_events, digest):
+        """The stream itself, not only its truth: one line per event,
+        hashed, so that no change alters an event or their order
+        unnoticed."""
+        events, _ = generate(cfg)
+        assert len(events) == n_events
+        assert all(type(e) is Event for e in events)
+        text = "".join(f"{a} {c} {t}\n" for a, c, t in events)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_events_sorted_and_strictly_increasing_per_athlete(self):
         events, _ = generate(config(seed=3))
