@@ -12,12 +12,14 @@ second.
 
 Race state is held in columns.  Each athlete gets a dense slot on
 first sight; per slot the engine keeps how many control points the
-athlete has passed (crossed or skipped) and the time of their last
-crossing, which decide whether a new crossing is accepted.  Per control
-point one code list and one time list are indexed by slot.  A code is
-the group ordinal at that point or one of the sentinel codes below; a
-crossed point reads PENDING, the column's fill value, until its
-component finishes and writes the ordinal or OUTLIER for every member.
+athlete has passed (crossed or skipped).  Per control point one code
+list and one time list are indexed by slot.  The last point passed is
+always a crossing, so the engine reads the time of an athlete's last
+crossing from that point's time column; it and the count decide
+whether a new crossing is accepted.  A code is the group ordinal at
+that point or one of the sentinel codes below; a crossed point reads
+PENDING, the column's fill value, until its component finishes and
+writes the ordinal or OUTLIER for every member.
 Every column is as long as the slot capacity, which grows by an eighth
 (at least one block of slots) when a new athlete finds it full, so a
 new athlete costs no per-column work; the spare slots past the last
@@ -124,7 +126,6 @@ class GroupingEngine:
         self._slot_of: dict[int, int] = {}  # athlete -> slot
         self._athletes: list[int] = []  # slot -> athlete
         self._passed: list[int] = []  # slot -> last control point passed + 1
-        self._last_time: list[int] = []  # slot -> time of the last crossing
         self._capacity = 0  # the length of every column
         self._codes: list[list[int]] = []  # cp -> slot -> code
         self._times: list[list[int]] = []  # cp -> slot -> crossing time, or -1
@@ -165,7 +166,6 @@ class GroupingEngine:
         slot_of = self._slot_of
         athletes = self._athletes
         passed = self._passed
-        last_time = self._last_time
         codes = self._codes
         times = self._times
         record = self._record_anomaly
@@ -189,7 +189,6 @@ class GroupingEngine:
                         self._grow()
                     athletes.append(athlete)
                     passed.append(0)
-                    last_time.append(t)
                     n = 0
                 else:
                     n = passed[slot]
@@ -207,17 +206,16 @@ class GroupingEngine:
                         )
                         rejected += 1
                         continue
-                    if last_time[slot] >= t:
+                    if times[n - 1][slot] >= t:
                         record(
                             athlete,
                             ANOMALY_ORDER,
                             cp,
                             f"time {t} does not increase over previous crossing "
-                            f"{last_time[slot]}",
+                            f"{times[n - 1][slot]}",
                         )
                         rejected += 1
                         continue
-                    last_time[slot] = t
                 if cp > n:
                     self._add_columns(cp)
                     for skipped in range(n, cp):
@@ -346,9 +344,12 @@ class GroupingEngine:
         if known is not None:
             return known
         slot = self._slot(athlete)
-        n, t = self._passed[slot], self._last_time[slot]
+        n = self._passed[slot]
+        # an athlete ahead at the same point has their last crossing here
+        last = self._times[n - 1]
+        t = last[slot]
         ahead = 0
-        for other_n, other_t in zip(self._passed, self._last_time):
+        for other_n, other_t in zip(self._passed, last):
             if other_n > n or (other_n == n and other_t < t):
                 ahead += 1
         return ahead + 1
@@ -361,9 +362,9 @@ class GroupingEngine:
         Whoever is ahead of a leader is a leader too, so each leader's
         position is read off this ranking; position() returns it until
         the next accepted crossing."""
-        ranked = heapq.nsmallest(
-            k, zip(map(neg, self._passed), self._last_time, self._athletes)
-        )
+        passed, times = self._passed, self._times
+        last = [times[n - 1][slot] for slot, n in enumerate(passed)]
+        ranked = heapq.nsmallest(k, zip(map(neg, passed), last, self._athletes))
         positions = {}
         previous = None
         for rank, (progress, t, athlete) in enumerate(ranked, start=1):
@@ -401,26 +402,12 @@ class GroupingEngine:
             raise IndexError(f"control point {cp} out of range")
         return list(self.groups.get(cp, ()))
 
-    def n_components_at(self, cp: int) -> int:
-        """How many epsilon-connected components finished at cp.
-
-        Counts every component, group or not; the active one, if any,
-        is included since it will finish eventually.
-        """
-        return self.component_counts.get(cp, 0) + (1 if cp in self._active else 0)
-
-    def n_crossed_at(self, cp: int) -> int:
-        """How many athletes crossed cp.
-
-        Every accepted crossing at cp sits in exactly one component
-        there: a group, an outlier batch or the active one.
-        """
+    def open_size(self, cp: int) -> int:
+        """How many athletes the component still active at cp holds; 0
+        when none is.  Not counted in component_counts or
+        outlier_counts until it finishes."""
         active = self._active.get(cp)
-        return (
-            sum([len(g.members) for g in self.groups.get(cp, ())])
-            + self.outlier_counts.get(cp, 0)
-            + (len(active[0]) if active is not None else 0)
-        )
+        return len(active[0]) if active is not None else 0
 
     def known_cps(self) -> list[int]:
         """The control points with a crossing: every finished component

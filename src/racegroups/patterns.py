@@ -241,9 +241,11 @@ def _pattern_set(
 
 
 def detect_patterns(pair: PairGraph) -> PatternSet:
-    """Classify every group of a pair of a finalized race (batch mode).
-    Mid-stream a pair lacks the groups still open, so its answer may
-    be wrong; RaceAnalysis.snapshot(left_cp) gives the transitory one."""
+    """Classify every right group of a pair, as its graph stands, plus
+    Disappears; the set is marked final.  Mid-stream a pair lacks the
+    groups still open, so its records may still change:
+    RaceAnalysis.snapshot(left_cp) reads them through here and marks
+    them transitory until the race is finalized."""
     return _pattern_set(
         pair,
         (classify_target(pair, r) for r in range(len(pair.right_sizes))),

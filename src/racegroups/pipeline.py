@@ -40,8 +40,6 @@ from .patterns import (
     IncompletePairError,
     PatternSet,
     PatternTracker,
-    _pattern_set,
-    classify_target,
     detect_patterns,
 )
 
@@ -193,17 +191,14 @@ class RaceAnalysis:
 
     def snapshot(self, left_cp: int) -> PatternSet:
         """The records of the pair (left_cp, left_cp + 1) as it stands,
-        classified when read, in either mode.  They are final, and the
-        set says so, once the race is finalized; a pair with no group
-        yet reads empty and is not created."""
+        classified when read, in either mode, as detect_patterns
+        classifies a finished pair.  They are final, and the set says
+        so, once the race is finalized; a pair with no group yet reads
+        empty and is not created."""
         pair = self.stack.pairs.get(left_cp)
         if pair is None:
             pair = PairGraph(left_cp, self.stack.mu)
-        return _pattern_set(
-            pair,
-            (classify_target(pair, r) for r in range(len(pair.right_sizes))),
-            finalized=self.engine._finalized,
-        )
+        return detect_patterns(pair)._replace(finalized=self.engine._finalized)
 
     def global_graph(self) -> GlobalGraph:
         """The pairs as one graph.  A race seen at one control point
@@ -216,19 +211,25 @@ class RaceAnalysis:
         return build_global(self.pairs())
 
     def group_stats(self) -> list[GroupStats]:
+        """One row per control point with a crossing.  Every accepted
+        crossing there sits in exactly one component: a group, an
+        outlier batch or the open one, which is counted as a component
+        since it will finish eventually."""
         engine = self.engine
         stats = []
         for cp in engine.known_cps():
             # read in place: groups_at returns a copy
             sizes = [len(g.members) for g in engine.groups.get(cp, ())]
+            outliers = engine.outlier_counts.get(cp, 0)
+            open_size = engine.open_size(cp)
             stats.append(
                 GroupStats(
                     cp=cp,
-                    n_components=engine.n_components_at(cp),
+                    n_components=engine.component_counts.get(cp, 0) + (1 if open_size else 0),
                     n_groups=len(sizes),
-                    n_outliers=engine.outlier_counts.get(cp, 0),
+                    n_outliers=outliers,
                     largest_group=max(sizes, default=0),
-                    crossed=engine.n_crossed_at(cp),
+                    crossed=sum(sizes) + outliers + open_size,
                 )
             )
         return stats

@@ -163,9 +163,6 @@ class GeneratorConfig:
     def n_packs(self) -> int:
         return self.n_athletes // self.pack_size
 
-    def course_points(self) -> list[tuple[int, int]]:
-        return course_points(self.n_cps, self.course_length_m)
-
 
 def course_points(n_cps: int, course_length_m: int) -> list[tuple[int, int]]:
     """(control point, distance in meters), evenly spaced with the last

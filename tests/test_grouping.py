@@ -1,7 +1,7 @@
 """Streaming engine: components, groups, histories, anomaly handling."""
 
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -123,7 +123,7 @@ class TestIngest:
         eng.finalize_all()
         assert [g.members for g in eng.groups_at(0)] == [(1, 2)]
         assert outliers_at(eng, 0) == [3]
-        assert eng.n_components_at(0) == 2
+        assert eng.component_counts == {0: 2}
 
     def test_equal_timestamps_processed_in_input_order(self):
         eng = GroupingEngine(params(epsilon=0, m=2))
@@ -246,7 +246,7 @@ class TestFinalizeAll:
         # cp 0 was finished before the callback raised; only cp 1 is left
         assert [o.cp for o in outs] == [1]
         assert [g.members for g in eng.groups_at(0)] == [(1, 2)]
-        assert eng.n_components_at(0) == 1
+        assert (eng.component_counts[0], eng.open_size(0)) == (1, 0)
 
     def test_no_ingest_after_broom_wagon(self):
         eng = GroupingEngine(params())
@@ -259,14 +259,16 @@ class TestAccessors:
     def test_empty_cp(self):
         eng = GroupingEngine(params())
         assert eng.groups_at(5) == []
-        assert eng.n_components_at(5) == 0
-        assert eng.n_crossed_at(5) == 0
+        assert 5 not in eng.component_counts
+        assert eng.open_size(5) == 0
 
     def test_components_include_active(self):
-        eng = GroupingEngine(params(epsilon=1000, m=2))
-        eng.ingest_many([Event(0, 0, 0), Event(1, 0, 100), Event(2, 0, 5000)])
-        assert eng.n_components_at(0) == 2
-        assert eng.n_crossed_at(0) == 3
+        analysis = RaceAnalysis(RunConfig(params=params(epsilon=1000, m=2)))
+        analysis.ingest([Event(0, 0, 0), Event(1, 0, 100), Event(2, 0, 5000)])
+        eng = analysis.engine
+        assert (eng.component_counts, eng.open_size(0)) == ({0: 1}, 1)
+        (stats,) = analysis.group_stats()
+        assert (stats.n_components, stats.crossed) == (2, 3)
 
     def test_second_finisher_counts_the_shared_members(self):
         eng = GroupingEngine(params(epsilon=1000, m=2))
@@ -540,19 +542,19 @@ def test_component_count_nonincreasing_in_epsilon(raw, m):
 @given(raw=event_streams, eps=st.integers(0, 3000), m=st.integers(1, 6), cut=st.integers(0, 120))
 @settings(max_examples=100, deadline=None)
 def test_crossed_counts_every_accepted_crossing(raw, eps, m, cut):
-    """n_crossed_at counts component sizes, the active component
-    included: mid-stream and after the broom wagon it equals the
-    crossings fed so far at each control point."""
+    """group_stats' crossed counts component sizes, the active
+    component included: mid-stream and after the broom wagon it equals
+    the crossings fed so far at each control point."""
     events = _clean_stream(raw)
-    eng = GroupingEngine(params(epsilon=eps, m=m))
+    analysis = RaceAnalysis(RunConfig(params=params(epsilon=eps, m=m)))
 
     def assert_counts(fed):
-        for cp in eng.known_cps():
-            assert eng.n_crossed_at(cp) == sum(1 for e in fed if e.cp == cp)
+        crossed = {s.cp: s.crossed for s in analysis.group_stats()}
+        assert crossed == dict(Counter(e.cp for e in fed))
 
-    eng.ingest_many(events[:cut])
+    analysis.ingest(events[:cut])
     assert_counts(events[:cut])
-    eng.ingest_many(events[cut:])
+    analysis.ingest(events[cut:])
     assert_counts(events)
-    eng.finalize_all()
+    analysis.finalize()
     assert_counts(events)

@@ -873,6 +873,19 @@ def run_cli(args):
     return rc, out.getvalue(), err.getvalue()
 
 
+def _with_next_cp_copies(body):
+    """Each well-formed row a,c,t followed by a,c+1,t, line ending kept."""
+    out = []
+    for line in body:
+        out.append(line)
+        row = line.rstrip("\r\n")
+        fields = row.split(",")
+        if len(fields) == 3 and all(field.isdigit() for field in fields):
+            athlete, cp, t = fields
+            out.append(f"{athlete},{int(cp) + 1},{t}{line[len(row):]}")
+    return out
+
+
 class TestCli:
     @pytest.fixture()
     def race_file(self, tmp_path):
@@ -963,6 +976,25 @@ class TestCli:
         # the row reader
         out = self._golden_run(tmp_path, reorder=reorder)
         assert out == (DATA / "field_records.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "reorder",
+        [lambda body: [line for line in body for _ in (0, 1)], _with_next_cp_copies],
+        ids=["duplicated", "next-cp"],
+    )
+    def test_field_records_match_golden_with_rejected_copies(self, tmp_path, reorder):
+        # every copy is rejected, as a duplicate-event or, for a crossing
+        # one point on at the same time, as an order-violation; only the
+        # meta and anomaly records may tell
+        def kept(lines):
+            return [line for line in lines if not line.startswith(("meta ", "anomaly "))]
+
+        out = self._golden_run(tmp_path, reorder=reorder).splitlines()
+        golden = (DATA / "field_records.txt").read_text().splitlines()
+        assert kept(out) == kept(golden)
+        (meta,) = [line for line in out if line.startswith("meta ")]
+        fields = dict(field.split("=", 1) for field in meta.split()[1:])
+        assert fields["events"] == fields["rejected"] == "6000"
 
     def test_analysis_builds_no_events(self, race_file, monkeypatch):
         # the CLI reads columns; read_events stays bound on cli, where

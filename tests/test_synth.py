@@ -34,6 +34,7 @@ from racegroups.synth import (
     Behavior,
     GeneratorConfig,
     InfeasibleScriptError,
+    course_points,
     generate,
     generate_field,
 )
@@ -115,7 +116,7 @@ class TestConfigValidation:
 
     def test_course_points_end_at_finish(self):
         cfg = config()
-        points = cfg.course_points()
+        points = course_points(cfg.n_cps, cfg.course_length_m)
         assert len(points) == cfg.n_cps
         assert points[-1] == (cfg.n_cps - 1, cfg.course_length_m)
         assert all(a[1] < b[1] for a, b in zip(points, points[1:]))
@@ -421,7 +422,7 @@ class TestFieldGenerator:
             engine = GroupingEngine(params)
             engine.ingest_many(events)
             engine.finalize_all()
-            counts.append([engine.n_components_at(c) for c in range(4)])
+            counts.append([engine.component_counts.get(c, 0) for c in range(4)])
         # growing the reach can only glue components together
         for narrow, wide in zip(counts, counts[1:]):
             assert all(w <= n for n, w in zip(narrow, wide))
