@@ -20,6 +20,7 @@ import gc
 import os
 import sys
 import time as _time
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -40,7 +41,6 @@ from .io import (
     read_events,  # unused here; bound for tools that wrap it on this module
     write_course,
     write_events,
-    write_ground_truth,
 )
 from .longterm import LONGTERM_KINDS
 from .patterns import KINDS
@@ -193,6 +193,7 @@ def _analyze(argv) -> int:
     ingest_s = _time.perf_counter() - t0
     for issue in issues:
         print(f"warning: {args.input}: {issue}", file=sys.stderr)
+    _check_cps(args.input, columns.cps)
 
     result = run(columns, config)
     if "status" in reports:
@@ -218,6 +219,23 @@ def _analyze(argv) -> int:
         rows = epsilon_sweep(columns, config, epsilons)
         _emit_sweep(out, text, rows)
     return 0
+
+
+def _check_cps(path: str, cps: list[int]) -> None:
+    """Refuse control point ids other than 0..N-1.  The engine reads a
+    missing id as a point nobody crossed, so every athlete would skip it
+    and no group would relate across it, and it keeps columns for every
+    id up to the largest."""
+    present = set(cps)
+    top = max(present)
+    n_missing = top + 1 - len(present)  # the reader refuses negative ids
+    if n_missing:
+        shown = list(islice((cp for cp in range(top + 1) if cp not in present), 5))
+        more = f" and {n_missing - len(shown)} more" if n_missing > len(shown) else ""
+        raise ValueError(
+            f"{path}: control points must be numbered 0..N-1; ids up to {top} "
+            f"lack {', '.join(map(str, shown))}{more}"
+        )
 
 
 def _gid(group_id) -> str:
@@ -488,7 +506,7 @@ def _generate(argv) -> int:
         events, truth = synth.generate(config)
         if args.truth:
             with open(args.truth, "w") as fh:
-                write_ground_truth(fh, truth)
+                synth.write_ground_truth(fh, truth)
     write_events(args.events, events)
     if args.course:
         write_course(args.course, synth.course_points(args.cps, args.course_length))

@@ -40,18 +40,8 @@ the other side.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .core import Mu
 from .grouping import GroupId
-
-
-class EdgeAdded(NamedTuple):
-    """One promoted relation edge: left ordinal, right ordinal, direction."""
-
-    left: int
-    right: int
-    forward: bool  # True: left -> right (left ~ right); False: right -> left
 
 
 class PairGraph:
@@ -92,18 +82,22 @@ class PairGraph:
 
     # -- construction, one call per finished group ----------------------
 
-    def add_right(self, group_id: GroupId, size: int, counts: dict[int, int]) -> list[EdgeAdded]:
+    def add_right(
+        self, group_id: GroupId, size: int, counts: dict[int, int]
+    ) -> list[tuple[int, int, bool]]:
         """A right group finished.  group_id is the engine's Group.id,
         kept for the records to name it; counts maps the ordinals of
         left groups already finished to the members each shares with it.
-        Raises ValueError for an id of another control point or out of
-        ordinal order."""
+        Returns the relation edges gained, each a plain (left ordinal,
+        right ordinal, forward) triple; forward is False for an edge
+        right -> left.  Raises ValueError for an id of another control
+        point or out of ordinal order."""
         cp, ordinal = group_id
         if cp != self.key[1] or ordinal != len(self.right_ids):
             raise ValueError(f"{group_id} is not the next right group of pair {self.key}")
         self.right_ids.append(group_id)
         self.right_sizes.append(size)
-        added: list[EdgeAdded] = []
+        added: list[tuple[int, int, bool]] = []
         num, den = self.mu.num, self.mu.den  # the tests of Mu.covers, inline
         fwd_in, bwd_in = self.fwd_in, self.bwd_in
         for left, weight in counts.items():
@@ -111,25 +105,28 @@ class PairGraph:
             if part >= num * self.left_sizes[left]:
                 self.fwd[left] = ordinal
                 fwd_in[ordinal] = fwd_in.get(ordinal, ()) + ((left, weight),)
-                added.append(tuple.__new__(EdgeAdded, (left, ordinal, True)))
+                added.append((left, ordinal, True))
             if part >= num * size:
                 self.bwd[ordinal] = left
                 bwd_in[left] = bwd_in.get(left, ()) + ((ordinal, weight),)
-                added.append(tuple.__new__(EdgeAdded, (left, ordinal, False)))
+                added.append((left, ordinal, False))
         return added
 
-    def add_left(self, group_id: GroupId, size: int, counts: dict[int, int]) -> list[EdgeAdded]:
+    def add_left(
+        self, group_id: GroupId, size: int, counts: dict[int, int]
+    ) -> list[tuple[int, int, bool]]:
         """A left group finished.  group_id is the engine's Group.id,
         kept for the records to name it; counts maps the ordinals of
         right groups already finished to the members each shares with it.
-        Raises ValueError for an id of another control point or out of
-        ordinal order."""
+        Returns the relation edges gained, as add_right does.  Raises
+        ValueError for an id of another control point or out of ordinal
+        order."""
         cp, ordinal = group_id
         if cp != self.key[0] or ordinal != len(self.left_ids):
             raise ValueError(f"{group_id} is not the next left group of pair {self.key}")
         self.left_ids.append(group_id)
         self.left_sizes.append(size)
-        added: list[EdgeAdded] = []
+        added: list[tuple[int, int, bool]] = []
         num, den = self.mu.num, self.mu.den
         fwd_in, bwd_in = self.fwd_in, self.bwd_in
         for right, weight in counts.items():
@@ -137,11 +134,11 @@ class PairGraph:
             if part >= num * size:
                 self.fwd[ordinal] = right
                 fwd_in[right] = fwd_in.get(right, ()) + ((ordinal, weight),)
-                added.append(tuple.__new__(EdgeAdded, (ordinal, right, True)))
+                added.append((ordinal, right, True))
             if part >= num * self.right_sizes[right]:
                 self.bwd[right] = ordinal
                 bwd_in[ordinal] = bwd_in.get(ordinal, ()) + ((right, weight),)
-                added.append(tuple.__new__(EdgeAdded, (ordinal, right, False)))
+                added.append((ordinal, right, False))
         return added
 
     # -- queries --------------------------------------------------------
@@ -174,14 +171,14 @@ class GraphStack:
 
     def on_group(
         self, group, before: dict[int, int], after: dict[int, int]
-    ) -> list[tuple[PairGraph, list[EdgeAdded]]]:
+    ) -> list[tuple[PairGraph, list[tuple[int, int, bool]]]]:
         """before and after are the group's FinishedComponent counts.
-        Returns the edges each affected pair gained, for the pattern
-        tracker."""
+        Returns, per affected pair, the list of relation edges it
+        gained, for the pattern tracker."""
         group_id, members, _, _ = group
         cp = group_id[0]
         size = len(members)
-        updates: list[tuple[PairGraph, list[EdgeAdded]]] = []
+        updates: list[tuple[PairGraph, list[tuple[int, int, bool]]]] = []
         if cp > 0:
             pair = self.pair(cp - 1)
             updates.append((pair, pair.add_right(group_id, size, before)))

@@ -85,9 +85,6 @@ class Group(NamedTuple):
     def size(self) -> int:
         return len(self.members)
 
-    def member_set(self) -> frozenset[int]:
-        return frozenset(self.members)
-
 
 class FinishedComponent(NamedTuple):
     """Engine output: a component was decreed finished.

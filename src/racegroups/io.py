@@ -24,14 +24,9 @@ import json
 from io import StringIO
 from itertools import chain, islice, repeat
 from operator import itemgetter, le
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import Event
-from .longterm import LONGTERM_KINDS
-from .patterns import KINDS
-
-if TYPE_CHECKING:
-    from .synth import GroundTruth
 
 LONG_HEADER = ("athlete_id", "control_point", "time_ms")
 
@@ -81,14 +76,6 @@ def parse_clock(text: str) -> int:
         return ms + int(fraction.ljust(3, "0"))
     scale = 10 ** (len(fraction) - 3)
     return ms + (int(fraction) + scale // 2) // scale
-
-
-def format_clock(ms: int) -> str:
-    seconds, rem = divmod(ms, 1000)
-    hours, seconds = divmod(seconds, 3600)
-    minutes, seconds = divmod(seconds, 60)
-    out = f"{hours:02d}:{minutes:02d}:{seconds:02d}"
-    return out + (f".{rem:03d}" if rem else "")
 
 
 def _parse_int(cell: str) -> int:
@@ -369,53 +356,3 @@ def write_course(path: str, points: Iterable[tuple[int, int]]) -> None:
         writer.writerow(("index", "meters"))
         for cp, meters in points:
             writer.writerow((cp, meters))
-
-
-# -- ground truth summaries ---------------------------------------------
-
-
-def write_ground_truth(fh: TextIO, truth: GroundTruth) -> None:
-    """Line-oriented summary, stable order, suitable for diffing."""
-    for cp in sorted(truth.group_counts):
-        fh.write(f"groups cp={cp} count={truth.group_counts[cp]}\n")
-    for left, right in sorted(truth.pair_counts):
-        counts = truth.pair_counts[(left, right)]
-        for kind in KINDS:
-            fh.write(
-                f"pair left={left} right={right} kind={kind} "
-                f"count={counts[kind]}\n"
-            )
-    cps = truth.longterm_cps()
-    for kind in LONGTERM_KINDS:
-        fh.write(
-            f"longterm kind={kind} edges={truth.longterm_edges[kind]} "
-            f"cps={cps[kind]}\n"
-        )
-
-
-def read_ground_truth(fh: TextIO) -> GroundTruth:
-    pair_counts: dict[tuple[int, int], dict[str, int]] = {}
-    longterm_edges: dict[str, int] = {}
-    group_counts: dict[int, int] = {}
-    for lineno, line in enumerate(fh, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        record, *pairs = line.split()
-        fields = dict(p.split("=", 1) for p in pairs)
-        if record == "groups":
-            group_counts[int(fields["cp"])] = int(fields["count"])
-        elif record == "pair":
-            key = (int(fields["left"]), int(fields["right"]))
-            pair_counts.setdefault(key, {})[fields["kind"]] = int(fields["count"])
-        elif record == "longterm":
-            longterm_edges[fields["kind"]] = int(fields["edges"])
-        else:
-            raise ValueError(f"line {lineno}: unknown record {record!r}")
-    from .synth import GroundTruth
-
-    return GroundTruth(
-        pair_counts=pair_counts,
-        longterm_edges=longterm_edges,
-        group_counts=group_counts,
-    )

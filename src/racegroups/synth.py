@@ -28,6 +28,9 @@ pair, and oracle_longterm finds the longest chain of each long-term
 kind.  Neither runs the analysis layers the truth is checked against.
 Pack times never enter, so the prediction is independent of jitter,
 bands and corridor placement.
+
+The truth file format is this module's: write_ground_truth writes a
+GroundTruth as stable, diffable lines and read_ground_truth reads them.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import TextIO
 
 from .core import Event, Params
 from .longterm import LONGTERM_KINDS
@@ -188,6 +192,51 @@ class GroundTruth:
 
     def total(self, kind: str) -> int:
         return sum(counts[kind] for counts in self.pair_counts.values())
+
+
+def write_ground_truth(fh: TextIO, truth: GroundTruth) -> None:
+    """Line-oriented summary, stable order, suitable for diffing."""
+    for cp in sorted(truth.group_counts):
+        fh.write(f"groups cp={cp} count={truth.group_counts[cp]}\n")
+    for left, right in sorted(truth.pair_counts):
+        counts = truth.pair_counts[(left, right)]
+        for kind in KINDS:
+            fh.write(
+                f"pair left={left} right={right} kind={kind} "
+                f"count={counts[kind]}\n"
+            )
+    cps = truth.longterm_cps()
+    for kind in LONGTERM_KINDS:
+        fh.write(
+            f"longterm kind={kind} edges={truth.longterm_edges[kind]} "
+            f"cps={cps[kind]}\n"
+        )
+
+
+def read_ground_truth(fh: TextIO) -> GroundTruth:
+    pair_counts: dict[tuple[int, int], dict[str, int]] = {}
+    longterm_edges: dict[str, int] = {}
+    group_counts: dict[int, int] = {}
+    for lineno, line in enumerate(fh, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        record, *pairs = line.split()
+        fields = dict(p.split("=", 1) for p in pairs)
+        if record == "groups":
+            group_counts[int(fields["cp"])] = int(fields["count"])
+        elif record == "pair":
+            key = (int(fields["left"]), int(fields["right"]))
+            pair_counts.setdefault(key, {})[fields["kind"]] = int(fields["count"])
+        elif record == "longterm":
+            longterm_edges[fields["kind"]] = int(fields["edges"])
+        else:
+            raise ValueError(f"line {lineno}: unknown record {record!r}")
+    return GroundTruth(
+        pair_counts=pair_counts,
+        longterm_edges=longterm_edges,
+        group_counts=group_counts,
+    )
 
 
 def _formation(script: Script, pack_size: int, m: int) -> list[list[frozenset[int]]]:

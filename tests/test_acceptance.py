@@ -75,7 +75,7 @@ def test_criterion_1_oracle_equivalence(record_property):
         expected_groups = oracle_groups(events, params)
         for cp in range(max(engine.known_cps(), default=-1) + 1):
             got = [
-                (g.member_set(), g.t_first, g.t_last)
+                (frozenset(g.members), g.t_first, g.t_last)
                 for g in engine.groups_at(cp)
             ]
             assert got == expected_groups.get(cp, []), f"groups seed={seed} cp={cp}"
@@ -83,8 +83,8 @@ def test_criterion_1_oracle_equivalence(record_property):
         cps = engine.known_cps()
         pairs = [stack.pair(cp) for cp in range(min(cps), max(cps))]
         for pair in pairs:
-            left_sets = [g.member_set() for g in engine.groups_at(pair.left_cp)]
-            right_sets = [g.member_set() for g in engine.groups_at(pair.right_cp)]
+            left_sets = [frozenset(g.members) for g in engine.groups_at(pair.left_cp)]
+            right_sets = [frozenset(g.members) for g in engine.groups_at(pair.right_cp)]
             expected, violations = oracle_patterns(
                 left_sets, right_sets, params.mu, left_cp=pair.left_cp
             )
@@ -95,7 +95,7 @@ def test_criterion_1_oracle_equivalence(record_property):
 
         first = min(cps)
         levels = [
-            [g.member_set() for g in engine.groups_at(cp)]
+            [frozenset(g.members) for g in engine.groups_at(cp)]
             for cp in range(first, max(cps) + 1)
         ]
         expected_labels, expected_longest = oracle_longterm(levels, params.mu, first)

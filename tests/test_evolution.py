@@ -35,7 +35,7 @@ class TestPromotion:
     def test_strong_pair_promotes_both_directions(self):
         pair = make_pair([10])
         added = pair.add_right((1, 0), 10, {0: 9})
-        assert {(e.forward) for e in added} == {True, False}
+        assert added == [(0, 0, True), (0, 0, False)]
         assert pair.fwd[0] == 0 and pair.fwd_in[0] == ((0, 9),)
         assert pair.bwd[0] == 0 and pair.bwd_in[0] == ((0, 9),)
 
@@ -44,13 +44,13 @@ class TestPromotion:
         # 4/12 does not
         pair = make_pair([4])
         added = pair.add_right((1, 0), 12, {0: 4})
-        assert [e.forward for e in added] == [True]
+        assert added == [(0, 0, True)]
         assert pair.bwd == {}
 
     def test_exact_threshold_counts(self):
         # 7 of 10 at mu=7/10 is a relation; 6 of 10 is not
         pair = make_pair([10, 10])
-        assert [e.forward for e in pair.add_right((1, 0), 100, {0: 7})] == [True]
+        assert pair.add_right((1, 0), 100, {0: 7}) == [(0, 0, True)]
         assert pair.add_right((1, 1), 100, {1: 6}) == []
 
     def test_strong_partner(self):
@@ -71,7 +71,7 @@ class TestTentative:
         assert pair.add_right((1, 0), 10, {}) == []
         added = pair.add_left((0, 0), 10, {0: 7})
         # 7/10 covers in both directions at mu=7/10
-        assert {e.forward for e in added} == {True, False}
+        assert added == [(0, 0, True), (0, 0, False)]
         assert pair.fwd == {0: 0} and pair.bwd == {0: 0}
         assert pair.fwd_in == {0: ((0, 7),)} and pair.bwd_in == {0: ((0, 7),)}
 

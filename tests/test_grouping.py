@@ -341,7 +341,7 @@ class TestGroupValue:
             "Group(id=(3, 1), members=(7, 2, 9), t_first=1000, t_last=2500)"
         )
         assert (group.cp, group.ordinal, group.size) == (3, 1, 3)
-        assert group.member_set() == frozenset({2, 7, 9})
+        assert frozenset(group.members) == frozenset({2, 7, 9})
         assert group == Group((3, 1), (7, 2, 9), 1000, 2500)
         assert group != Group((3, 1), (7, 2, 9), 1000, 2600)
 
@@ -491,7 +491,7 @@ def test_streaming_matches_oracle(raw, eps, m):
     expected = oracle_groups(events, p)
     for cp, exp_groups in expected.items():
         got = [
-            (g.member_set(), g.t_first, g.t_last) for g in eng.groups_at(cp)
+            (frozenset(g.members), g.t_first, g.t_last) for g in eng.groups_at(cp)
         ]
         assert got == exp_groups
     # streams may start an athlete mid-course (skipped-cp is fine) but

@@ -3,6 +3,7 @@ layers, and the package's lazy exports still resolve."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -50,6 +51,14 @@ def test_cli_loads_no_generator():
     assert "racegroups.io" in loaded
     assert "racegroups.synth" not in loaded
     assert "racegroups.oracles" not in loaded
+
+
+def test_reader_imports_no_analysis_layer():
+    """racegroups.io reads and writes race files only: the truth file's
+    format belongs to racegroups.synth, next to GroundTruth."""
+    tree = ast.parse((SRC / "racegroups" / "io.py").read_text())
+    local = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level}
+    assert local == {"core"}
 
 
 _ADDED = """

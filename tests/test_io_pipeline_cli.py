@@ -23,15 +23,12 @@ from racegroups.grouping import ANOMALY_PACE, ANOMALY_SKIPPED
 from racegroups.io import (
     MalformedInputError,
     RowIssue,
-    format_clock,
     parse_clock,
     read_columns,
     read_course,
     read_events,
-    read_ground_truth,
     write_course,
     write_events,
-    write_ground_truth,
 )
 from racegroups.longterm import KIND_RELATED, KIND_SURVIVING, LONGTERM_KINDS
 from racegroups.patterns import MERGES, SPLITS, SURVIVES, IncompletePairError
@@ -45,11 +42,28 @@ from racegroups.pipeline import (
     epsilon_sweep,
     run,
 )
-from racegroups.synth import Behavior, GeneratorConfig, generate, generate_field
+from racegroups.synth import (
+    Behavior,
+    GeneratorConfig,
+    generate,
+    generate_field,
+    read_ground_truth,
+    write_ground_truth,
+)
 
 DATA = Path(__file__).parent / "data"
 
 PARAMS = Params(epsilon=2000, m=7, mu=Mu(7, 10))
+
+
+def format_clock(ms: int) -> str:
+    """Milliseconds as HH:MM:SS, with .fff when not whole: a clock cell
+    of a wide-form file."""
+    seconds, rem = divmod(ms, 1000)
+    hours, seconds = divmod(seconds, 3600)
+    minutes, seconds = divmod(seconds, 60)
+    out = f"{hours:02d}:{minutes:02d}:{seconds:02d}"
+    return out + (f".{rem:03d}" if rem else "")
 
 
 def scripted_events(tmp_path=None):
@@ -873,6 +887,11 @@ def run_cli(args):
     return rc, out.getvalue(), err.getvalue()
 
 
+def _one_pack(cps):
+    """Rows of 30 athletes who cross each of cps as one group."""
+    return [(a, c, c * 100_000 + a * 1000) for c in cps for a in range(30)]
+
+
 def _with_next_cp_copies(body):
     """Each well-formed row a,c,t followed by a,c+1,t, line ending kept."""
     out = []
@@ -1250,6 +1269,42 @@ class TestCli:
         rc, out, err = run_cli(["--input", path, "--course", str(course)])
         assert rc == 1 and out == ""
         assert "line 2: negative control point -1" in err
+
+    @pytest.mark.parametrize(
+        "rows, course, lacking",
+        [
+            (_one_pack((0, 5, 10)), None, "ids up to 10 lack 1, 2, 3, 4, 6 and 3 more"),
+            (_one_pack((0, 5, 10)), [(0, 1000), (5, 6000), (10, 11000)],
+             "ids up to 10 lack 1, 2, 3, 4, 6 and 3 more"),
+            (_one_pack((1, 2, 3)), None, "ids up to 3 lack 0"),
+            ([(1, 0, 1000), (2, 0, 2000), (3, 20_000, 3000)],
+             None, "ids up to 20000 lack 1, 2, 3, 4, 5 and 19994 more"),
+        ],
+        ids=["gaps", "gaps-with-course", "no-point-0", "cp-20000"],
+    )
+    def test_control_point_ids_must_be_0_to_n_minus_1(self, tmp_path, rows, course, lacking):
+        race = tmp_path / "race.csv"
+        write_events(race, [Event(*row) for row in rows])
+        args = ["--input", str(race), "--report", "summary,longterm", "--out", "records"]
+        if course is not None:
+            write_course(tmp_path / "course.csv", course)
+            args += ["--course", str(tmp_path / "course.csv")]
+        rc, out, err = run_cli(args)
+        assert (rc, out) == (1, "")
+        assert err == (
+            f"error: {race}: control points must be numbered 0..N-1; {lacking}\n"
+        )
+
+    def test_control_points_0_to_n_minus_1_run(self, tmp_path):
+        race = tmp_path / "race.csv"
+        write_events(race, [Event(*row) for row in _one_pack((0, 1, 2))])
+        rc, out, err = run_cli(
+            ["--input", str(race), "--report", "summary,patterns,longterm", "--out", "records"]
+        )
+        assert (rc, err) == (0, "")
+        assert " cps=3 " in out and "skipped" not in out
+        assert out.count(" kind=survives ") == 2
+        assert "longterm kind=surviving edges=2 cps=3 " in out
 
     def test_closed_stdout_pipe_is_quiet(self, race_file):
         # racegroups ... | head must not spray BrokenPipeError noise;

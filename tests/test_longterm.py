@@ -257,7 +257,7 @@ def member_levels(engine, graph):
     """The member sets of the graph's groups, one list per control
     point in ordinal order, as the engine formed them: what
     oracle_longterm takes, with graph.first."""
-    return [[g.member_set() for g in engine.groups_at(cp)] for cp in graph.counts]
+    return [[frozenset(g.members) for g in engine.groups_at(cp)] for cp in graph.counts]
 
 
 def _graph_of(events, params):

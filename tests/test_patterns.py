@@ -15,7 +15,6 @@ from conftest import (
     slow_tail_streams,
 )
 from racegroups.core import Event, Mu, Params
-from racegroups.evolution import EdgeAdded
 from racegroups.grouping import FinishedComponent, Group
 from racegroups.oracles import oracle_patterns
 from racegroups.patterns import (
@@ -511,9 +510,9 @@ def assert_whole(record, cls):
 
 
 class TestShortcutConstruction:
-    """Groups, engine reports, relation edges and pattern records are
-    built with tuple.__new__ on the hot paths, and pattern sets sorted
-    by one integer key per record."""
+    """Groups, engine reports and pattern records are built with
+    tuple.__new__ on the hot paths, relation edges are plain triples,
+    and pattern sets are sorted by one integer key per record."""
 
     @staticmethod
     def check_set(pattern_set):
@@ -538,10 +537,15 @@ class TestShortcutConstruction:
             dispatch(finished)
 
         def checked_on_group(group, before, after):
+            pairs = analysis.stack.pairs
+            had = {c: len(pair.fwd) + len(pair.bwd) for c, pair in pairs.items()}
             updates = on_group(group, before, after)
-            for _, edges in updates:
+            for pair, edges in updates:
                 for edge in edges:
-                    assert_whole(edge, EdgeAdded)
+                    assert type(edge) is tuple
+                    assert tuple(map(type, edge)) == (int, int, bool)
+                # one list per pair, as long as the edges the pair gained
+                assert len(pair.fwd) + len(pair.bwd) == had.get(pair.left_cp, 0) + len(edges)
             return updates
 
         analysis._dispatch = checked_dispatch

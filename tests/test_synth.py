@@ -321,7 +321,7 @@ class TestScriptScenarios:
             groups = engine.groups_at(cp)
             assert len(groups) == truth.group_counts[cp]
         # pack 0 at cp 1 divides 13/12: exact memberships, pack order
-        sets = [g.member_set() for g in engine.groups_at(1)]
+        sets = [frozenset(g.members) for g in engine.groups_at(1)]
         assert frozenset(range(0, 13)) in sets
         assert frozenset(range(13, 25)) in sets
 
