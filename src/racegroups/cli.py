@@ -16,6 +16,7 @@ mode).
 from __future__ import annotations
 
 import argparse
+import csv
 import gc
 import os
 import sys
@@ -39,6 +40,7 @@ from .io import (
     read_columns,
     read_course,
     read_events,  # unused here; bound for tools that wrap it on this module
+    sniff_format,
     write_course,
     write_events,
 )
@@ -193,7 +195,7 @@ def _analyze(argv) -> int:
     ingest_s = _time.perf_counter() - t0
     for issue in issues:
         print(f"warning: {args.input}: {issue}", file=sys.stderr)
-    _check_cps(args.input, columns.cps)
+    _check_cps(args.input, args.format, columns.cps)
 
     result = run(columns, config)
     if "status" in reports:
@@ -221,15 +223,18 @@ def _analyze(argv) -> int:
     return 0
 
 
-def _check_cps(path: str, cps: list[int]) -> None:
-    """Refuse control point ids other than 0..N-1.  The engine reads a
-    missing id as a point nobody crossed, so every athlete would skip it
-    and no group would relate across it, and it keeps columns for every
-    id up to the largest."""
+def _check_cps(path: str, fmt: str | None, cps: list[int]) -> None:
+    """Refuse a long-form file's control point ids other than 0..N-1:
+    the engine reads a missing id as a point that every athlete skipped,
+    and keeps columns for every id up to the largest.  A wide file's
+    points are its header's columns, so an empty one is no gap."""
     present = set(cps)
     top = max(present)
     n_missing = top + 1 - len(present)  # the reader refuses negative ids
-    if n_missing:
+    if n_missing and fmt is None:  # detect it as read_columns did
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            fmt = sniff_format(next(csv.reader(fh)))
+    if n_missing and fmt == FORMAT_LONG:
         shown = list(islice((cp for cp in range(top + 1) if cp not in present), 5))
         more = f" and {n_missing - len(shown)} more" if n_missing > len(shown) else ""
         raise ValueError(
@@ -403,8 +408,8 @@ def _emit_sweep(out, text, rows) -> None:
         totals = dict(row.pattern_totals)
         maxima = dict(row.longterm_maxima)
         n_components = sum(n for _, n in row.component_counts)
+        kinds = " ".join(f"{kind}={totals[kind]}" for kind in KINDS)
         if text:
-            kinds = " ".join(f"{kind}={totals[kind]}" for kind in KINDS)
             longs = " ".join(
                 f"{kind}={maxima[kind]}" for kind in LONGTERM_KINDS
             )
@@ -413,7 +418,6 @@ def _emit_sweep(out, text, rows) -> None:
                 f"| {kinds} | longest cps: {longs}\n"
             )
         else:
-            kinds = " ".join(f"{kind}={totals[kind]}" for kind in KINDS)
             longs = " ".join(f"lp_{kind}={maxima[kind]}" for kind in LONGTERM_KINDS)
             out.write(
                 f"sweep epsilon={row.epsilon} components={n_components} "

@@ -43,6 +43,8 @@ from __future__ import annotations
 from .core import Mu
 from .grouping import GroupId
 
+Edge = tuple[int, int, bool]  # (left ordinal, right ordinal, forward)
+
 
 class PairGraph:
     """Precursor + evolution graph for the pair (left_cp, left_cp + 1)."""
@@ -82,9 +84,7 @@ class PairGraph:
 
     # -- construction, one call per finished group ----------------------
 
-    def add_right(
-        self, group_id: GroupId, size: int, counts: dict[int, int]
-    ) -> list[tuple[int, int, bool]]:
+    def add_right(self, group_id: GroupId, size: int, counts: dict[int, int]) -> list[Edge]:
         """A right group finished.  group_id is the engine's Group.id,
         kept for the records to name it; counts maps the ordinals of
         left groups already finished to the members each shares with it.
@@ -97,7 +97,7 @@ class PairGraph:
             raise ValueError(f"{group_id} is not the next right group of pair {self.key}")
         self.right_ids.append(group_id)
         self.right_sizes.append(size)
-        added: list[tuple[int, int, bool]] = []
+        added: list[Edge] = []
         num, den = self.mu.num, self.mu.den  # the tests of Mu.covers, inline
         fwd_in, bwd_in = self.fwd_in, self.bwd_in
         for left, weight in counts.items():
@@ -112,9 +112,7 @@ class PairGraph:
                 added.append((left, ordinal, False))
         return added
 
-    def add_left(
-        self, group_id: GroupId, size: int, counts: dict[int, int]
-    ) -> list[tuple[int, int, bool]]:
+    def add_left(self, group_id: GroupId, size: int, counts: dict[int, int]) -> list[Edge]:
         """A left group finished.  group_id is the engine's Group.id,
         kept for the records to name it; counts maps the ordinals of
         right groups already finished to the members each shares with it.
@@ -126,7 +124,7 @@ class PairGraph:
             raise ValueError(f"{group_id} is not the next left group of pair {self.key}")
         self.left_ids.append(group_id)
         self.left_sizes.append(size)
-        added: list[tuple[int, int, bool]] = []
+        added: list[Edge] = []
         num, den = self.mu.num, self.mu.den
         fwd_in, bwd_in = self.fwd_in, self.bwd_in
         for right, weight in counts.items():
@@ -171,14 +169,14 @@ class GraphStack:
 
     def on_group(
         self, group, before: dict[int, int], after: dict[int, int]
-    ) -> list[tuple[PairGraph, list[tuple[int, int, bool]]]]:
+    ) -> list[tuple[PairGraph, list[Edge]]]:
         """before and after are the group's FinishedComponent counts.
         Returns, per affected pair, the list of relation edges it
         gained, for the pattern tracker."""
         group_id, members, _, _ = group
         cp = group_id[0]
         size = len(members)
-        updates: list[tuple[PairGraph, list[tuple[int, int, bool]]]] = []
+        updates: list[tuple[PairGraph, list[Edge]]] = []
         if cp > 0:
             pair = self.pair(cp - 1)
             updates.append((pair, pair.add_right(group_id, size, before)))

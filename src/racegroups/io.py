@@ -300,8 +300,7 @@ def write_events(path: str, events: Iterable[Event]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(LONG_HEADER)
-        for e in events:
-            writer.writerow((e.athlete, e.cp, e.time))
+        writer.writerows(events)  # an Event is its (athlete, cp, time)
 
 
 # -- course metadata ----------------------------------------------------

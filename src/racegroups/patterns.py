@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .evolution import PairGraph
+from .evolution import Edge, PairGraph
 from .grouping import Group, GroupId
 
 APPEARS = "appears"
@@ -278,7 +278,7 @@ class PatternTracker:
         self._sealed = False
 
     def on_group(
-        self, group: Group, updates: Iterable[tuple[PairGraph, list[tuple[int, int, bool]]]]
+        self, group: Group, updates: Iterable[tuple[PairGraph, list[Edge]]]
     ) -> None:
         cp, ordinal = group.id
         for pair, edges in updates:

@@ -1289,11 +1289,12 @@ class TestCli:
         if course is not None:
             write_course(tmp_path / "course.csv", course)
             args += ["--course", str(tmp_path / "course.csv")]
-        rc, out, err = run_cli(args)
-        assert (rc, out) == (1, "")
-        assert err == (
-            f"error: {race}: control points must be numbered 0..N-1; {lacking}\n"
-        )
+        for forced in ([], ["--format", "long"]):  # detected, then named
+            rc, out, err = run_cli(args + forced)
+            assert (rc, out) == (1, "")
+            assert err == (
+                f"error: {race}: control points must be numbered 0..N-1; {lacking}\n"
+            )
 
     def test_control_points_0_to_n_minus_1_run(self, tmp_path):
         race = tmp_path / "race.csv"
@@ -1305,6 +1306,27 @@ class TestCli:
         assert " cps=3 " in out and "skipped" not in out
         assert out.count(" kind=survives ") == 2
         assert "longterm kind=surviving edges=2 cps=3 " in out
+
+    @pytest.mark.parametrize("empty", [0, 1])
+    def test_wide_split_column_nobody_crossed_runs(self, tmp_path, empty):
+        # a wide file's points are its header's columns: one that is
+        # empty in every row is a point each athlete skipped, not a gap
+        clocks = ["00:00:0{}", "00:05:0{}", "00:10:0{}"]
+        clocks[empty] = ""
+        race = tmp_path / "wide.csv"
+        race.write_text(
+            "athlete,cp0,cp1,cp2\n"
+            + "".join(f"{a}," + ",".join(c.format(a) for c in clocks) + "\n" for a in (1, 2))
+        )
+        rc, out, err = run_cli(
+            ["--input", str(race), "--min-group", "2", "--report", "anomalies", "--out", "records"]
+        )
+        assert (rc, err) == (0, "")
+        assert " cps=3 " in out
+        assert [l for l in out.splitlines() if l.startswith("anomaly ")] == [
+            f"anomaly athlete={a} kind=skipped-cp cp={empty} details=no crossing recorded"
+            for a in (1, 2)
+        ]
 
     def test_closed_stdout_pipe_is_quiet(self, race_file):
         # racegroups ... | head must not spray BrokenPipeError noise;
