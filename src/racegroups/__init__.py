@@ -12,86 +12,23 @@ Typical use goes through the pipeline:
     from racegroups import Mu, Params, RunConfig, run
     result = run(events, RunConfig(params=Params(epsilon=2000, m=7, mu=Mu(7, 10))))
 
-Exported here: what that use needs, the lower-level layers the README
-describes, the exceptions callers catch and the kind constants.  Import
-everything else from its own module.
+Exported here: only the names the README's Library block imports.
+Import everything else, the lower-level layers, the exceptions and the
+kind constants included, from its own module.
 """
 
 import importlib
 
 from .core import Mu, Params
-from .evolution import GraphStack
-from .grouping import GroupingEngine, StreamOrderError
-from .longterm import (
-    KIND_BACKWARD,
-    KIND_FORWARD,
-    KIND_RELATED,
-    KIND_SURVIVING,
-    LONGTERM_KINDS,
-    build_global,
-    compute_labels,
-    longest_all,
-)
-from .patterns import (
-    APPEARS,
-    COHERES,
-    DISAPPEARS,
-    DISBANDS,
-    EXPANDS,
-    KINDS,
-    MERGES,
-    SHRINKS,
-    SPLITS,
-    SURVIVES,
-    PatternTracker,
-    detect_patterns,
-)
 from .pipeline import RunConfig, run
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "APPEARS",
-    "COHERES",
-    "DISAPPEARS",
-    "DISBANDS",
-    "EXPANDS",
-    "KINDS",
-    "KIND_BACKWARD",
-    "KIND_FORWARD",
-    "KIND_RELATED",
-    "KIND_SURVIVING",
-    "LONGTERM_KINDS",
-    "MERGES",
-    "SHRINKS",
-    "SPLITS",
-    "SURVIVES",
-    "GeneratorConfig",
-    "GraphStack",
-    "GroupingEngine",
-    "InfeasibleScriptError",
-    "MalformedInputError",
-    "Mu",
-    "Params",
-    "PatternTracker",
-    "RunConfig",
-    "StreamOrderError",
-    "build_global",
-    "compute_labels",
-    "detect_patterns",
-    "generate",
-    "longest_all",
-    "run",
-]
+__all__ = ["GeneratorConfig", "Mu", "Params", "RunConfig", "generate", "run"]
 
-# The reader and the generator are loaded on first use: an analysis run
-# never needs them, and the generator pulls in the reference oracles.
-_LAZY = {
-    "MalformedInputError": "io",
-    "GeneratorConfig": "synth",
-    "InfeasibleScriptError": "synth",
-    "generate": "synth",
-}
+# The generator is loaded on first use: an analysis run never needs it,
+# and it pulls in the reference oracles.
+_LAZY = {"GeneratorConfig": "synth", "generate": "synth"}
 
 
 def __getattr__(name: str):

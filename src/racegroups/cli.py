@@ -16,7 +16,6 @@ mode).
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import os
 import sys
@@ -36,11 +35,11 @@ from .grouping import StreamOrderError
 from .io import (
     FORMAT_LONG,
     FORMAT_WIDE,
+    Columns,
     MalformedInputError,
     read_columns,
     read_course,
     read_events,  # unused here; bound for tools that wrap it on this module
-    sniff_format,
     write_course,
     write_events,
 )
@@ -195,7 +194,7 @@ def _analyze(argv) -> int:
     ingest_s = _time.perf_counter() - t0
     for issue in issues:
         print(f"warning: {args.input}: {issue}", file=sys.stderr)
-    _check_cps(args.input, args.format, columns.cps)
+    _check_cps(args.input, columns)
 
     result = run(columns, config)
     if "status" in reports:
@@ -223,18 +222,15 @@ def _analyze(argv) -> int:
     return 0
 
 
-def _check_cps(path: str, fmt: str | None, cps: list[int]) -> None:
+def _check_cps(path: str, columns: Columns) -> None:
     """Refuse a long-form file's control point ids other than 0..N-1:
     the engine reads a missing id as a point that every athlete skipped,
     and keeps columns for every id up to the largest.  A wide file's
     points are its header's columns, so an empty one is no gap."""
-    present = set(cps)
+    present = set(columns.cps)
     top = max(present)
     n_missing = top + 1 - len(present)  # the reader refuses negative ids
-    if n_missing and fmt is None:  # detect it as read_columns did
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            fmt = sniff_format(next(csv.reader(fh)))
-    if n_missing and fmt == FORMAT_LONG:
+    if n_missing and columns.layout == FORMAT_LONG:
         shown = list(islice((cp for cp in range(top + 1) if cp not in present), 5))
         more = f" and {n_missing - len(shown)} more" if n_missing > len(shown) else ""
         raise ValueError(

@@ -10,8 +10,8 @@ Two input layouts are understood:
          empty cell meaning the athlete never crossed there
 
 The format is detected from the header when not forced.  Broken rows
-never abort a read: they are collected as issues with their line
-number, and only a file that yields no events at all is an error.
+never abort a read: they are collected as issues with the line the row
+starts on, and only a file that yields no events at all is an error.
 
 A race is read into three int columns, athletes, control points and
 times (read_columns); read_events builds Event records from them.
@@ -101,14 +101,16 @@ class Columns:
     """Events as three parallel int lists, one per field.  Iterating
     yields plain ``(athlete, cp, time)`` tuples, afresh each time, so a
     Columns can stand for an event stream that is read more than once,
-    as run() and epsilon_sweep() read theirs."""
+    as run() and epsilon_sweep() read theirs.  read_columns sets
+    ``layout`` to the format it read the file as."""
 
-    __slots__ = ("athletes", "cps", "times")
+    __slots__ = ("athletes", "cps", "times", "layout")
 
     def __init__(self) -> None:
         self.athletes: list[int] = []
         self.cps: list[int] = []
         self.times: list[int] = []
+        self.layout: str | None = None
 
     def __len__(self) -> int:
         return len(self.times)
@@ -143,11 +145,12 @@ def read_columns(path: str, fmt: str | None = None) -> tuple[Columns, list[RowIs
         if fmt is None:
             fmt = sniff_format(header)
         if fmt == FORMAT_LONG:
-            columns, issues = _read_long_chunks(fh)
+            columns, issues = _read_long_chunks(fh, reader.line_num)
         elif fmt == FORMAT_WIDE:
             columns, issues = _read_wide(reader, n_cps=len(header) - 1)
         else:
             raise ValueError(f"unknown input format {fmt!r}")
+    columns.layout = fmt
     if not columns:
         detail = f"; first issue: {issues[0]}" if issues else ""
         raise MalformedInputError(f"{path}: no usable rows{detail}")
@@ -174,8 +177,9 @@ def _sort(columns: Columns) -> None:
     columns.athletes = list(map(itemgetter(2), ordered))
 
 
-def _read_long_chunks(fh) -> tuple[Columns, list[RowIssue]]:
-    """The long-form body after its header, as _read_long reads it.
+def _read_long_chunks(fh, n_lines: int) -> tuple[Columns, list[RowIssue]]:
+    """The long-form body after its header's n_lines lines, as _read_long
+    reads it.
 
     A chunk is read in bulk when it ends with a newline and, with its
     ASCII digits deleted, is one `,,\n` per line: nothing but digit
@@ -189,11 +193,11 @@ def _read_long_chunks(fh) -> tuple[Columns, list[RowIssue]]:
     commas in a row, or one at either end) and a leading zero, and
     int() a cell past its digit limit.  The first chunk that fails the
     test or is refused goes, with the rest of the file, through
-    _read_long, its line numbers shifted past the bulk-read lines.
+    _read_long, its line numbers shifted past the header and the
+    bulk-read lines.
     """
     columns = Columns()
     athletes, cps, times = columns.athletes, columns.cps, columns.times
-    n_lines = 0
     # read() stops anywhere; readline() ends the chunk with its line
     while chunk := fh.read(_CHUNK_BYTES):
         chunk += fh.readline()
@@ -223,12 +227,17 @@ def _read_long_chunks(fh) -> tuple[Columns, list[RowIssue]]:
 
 
 def _read_long(reader) -> tuple[Columns, list[RowIssue]]:
+    """The reader's rows; an issue names its row's first line, counted
+    from the reader's own start."""
     columns = Columns()
     issues: list[RowIssue] = []
     add_athlete = columns.athletes.append
     add_cp = columns.cps.append
     add_time = columns.times.append
-    for lineno, row in enumerate(reader, start=2):
+    # a quoted cell can hold a line break, so a row can span lines
+    line = reader.line_num
+    for row in reader:
+        lineno, line = line + 1, reader.line_num
         try:
             athlete, cp, time = map(int, row)  # int() skips spaces and tabs
             # int() also reads '_', '+' and non-ASCII digits: such a row
@@ -269,7 +278,9 @@ def _parse_long_row(row: list[str]) -> tuple[int, ...] | None:
 def _read_wide(reader, n_cps: int) -> tuple[Columns, list[RowIssue]]:
     columns = Columns()
     issues: list[RowIssue] = []
-    for lineno, row in enumerate(reader, start=2):
+    line = reader.line_num
+    for row in reader:
+        lineno, line = line + 1, reader.line_num
         if not row or all(not cell.strip() for cell in row):
             continue
         try:

@@ -190,9 +190,6 @@ class GroundTruth:
             for kind, edges in self.longterm_edges.items()
         }
 
-    def total(self, kind: str) -> int:
-        return sum(counts[kind] for counts in self.pair_counts.values())
-
 
 def write_ground_truth(fh: TextIO, truth: GroundTruth) -> None:
     """Line-oriented summary, stable order, suitable for diffing."""

@@ -112,3 +112,14 @@ print(json.dumps([sorted(set(names) - {"__builtins__"}), missing, unknown]))
     assert bound == sorted(racegroups.__all__)
     assert missing == []
     assert unknown == "module 'racegroups' has no attribute 'no_such_name'"
+
+
+def test_root_exports_the_readme_library_imports():
+    # the `from racegroups import ...` line of the README's Library block
+    readme = (SRC.parent / "README.md").read_text()
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1]
+    line = next(l for l in block.splitlines() if l.startswith("from racegroups import "))
+    imported = line.removeprefix("from racegroups import ").split(", ")
+    import racegroups
+
+    assert sorted(racegroups.__all__) == sorted(imported)

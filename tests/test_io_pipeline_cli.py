@@ -445,6 +445,19 @@ class TestChunkedLongFormat:
             RowIssue(23, "invalid literal for int() with base 10: 'x'")
         ]
 
+    @pytest.mark.parametrize("chunk_bytes", [rio._CHUNK_BYTES, 1], ids=["default", "one"])
+    def test_issue_names_the_rows_first_line(self, tmp_path, monkeypatch, chunk_bytes):
+        # a quoted cell holds a line break, so the file's fourth row
+        # starts on line 5; one-byte chunks read line 2 in bulk first
+        monkeypatch.setattr(rio, "_CHUNK_BYTES", chunk_bytes)
+        path = tmp_path / "race.csv"
+        path.write_bytes(
+            b'athlete_id,control_point,time_ms\n1,0,1000\n"2\n",0,2000\n3,0,x\n4,0,4000\n'
+        )
+        events, issues = read_both(str(path))
+        assert [e.athlete for e in events] == [1, 2, 4]
+        assert issues == [RowIssue(5, "invalid literal for int() with base 10: 'x'")]
+
 
 # Wide-format fuzzing: athlete rows of format_clock splits with absent
 # cells, padding, CRLF or LF endings, an optional byte-order mark, blank
@@ -539,6 +552,28 @@ class TestWideFormat:
         path.write_text("athlete_id,control_point,time_ms\n1,0,1000\n")
         events, _ = read_both(str(path), fmt="long")
         assert events == [Event(1, 0, 1000)]
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["detected", "forced"])
+    def test_columns_name_their_layout(self, tmp_path, forced):
+        long = tmp_path / "long.csv"
+        long.write_text("athlete_id,control_point,time_ms\n1,0,1000\n")
+        wide = tmp_path / "wide.csv"
+        wide.write_text("athlete_id,split1\n1,00:00:01\n")
+        for path, layout in ((long, "long"), (wide, "wide")):
+            columns, _ = read_columns(str(path), layout if forced else None)
+            assert columns.layout == layout
+        # forced, a long header is read as split columns
+        long.write_text("athlete_id,control_point,time_ms\n1,00:00:01,\n")
+        assert read_columns(str(long), "wide")[0].layout == "wide"
+
+    def test_issue_names_the_rows_first_line(self, tmp_path):
+        # a quoted cell holds a line break, so the file's fourth row
+        # starts on line 5
+        path = tmp_path / "wide.csv"
+        path.write_bytes(b'athlete_id,split1\n1,00:00:01\n"2\n",00:00:02\n3,x\n4,00:00:04\n')
+        events, issues = read_both(str(path))
+        assert [e.athlete for e in events] == [1, 2, 4]
+        assert issues == [RowIssue(5, "cp 0: not a clock time: 'x'")]
 
     @settings(
         max_examples=150,
@@ -659,9 +694,8 @@ class TestPipeline:
         events, truth = scripted_events()
         result = run(events, RunConfig(params=PARAMS))
         totals = result.pattern_totals()
-        assert totals[SPLITS] == truth.total(SPLITS)
-        assert totals[MERGES] == truth.total(MERGES)
-        assert totals[SURVIVES] == truth.total(SURVIVES)
+        for kind in (SPLITS, MERGES, SURVIVES):
+            assert totals[kind] == sum(c[kind] for c in truth.pair_counts.values())
         maxima = result.longterm_maxima()
         want = truth.longterm_cps()
         for kind in LONGTERM_KINDS:
@@ -1091,7 +1125,7 @@ class TestCli:
         assert rc == 0 and "generated events=200" in out
         with open(truth_path) as fh:
             truth = read_ground_truth(fh)
-        assert truth.total(SPLITS) == 2  # two packs
+        assert sum(c[SPLITS] for c in truth.pair_counts.values()) == 2  # two packs
         assert read_course(course_path)[3] == 42195
         rc, out, _ = run_cli(
             ["--input", events_path, "--report", "patterns", "--out", "records"]
