@@ -288,7 +288,8 @@ def main(words) -> int:
             got = KILLED if code else SURVIVES
             wrong += got != m.expect
             verdict = got if got == m.expect else f"{got.upper()}, listed as {m.expect}"
-            print(f"{verdict:<10} {m.name} ({seconds:.0f} s)")
+            because = f": {m.reason}" if got == SURVIVES and m.reason else ""
+            print(f"{verdict:<10} {m.name} ({seconds:.0f} s){because}")
     print(f"{len(entries) - wrong} of {len(entries)} entries behave as listed")
     return 1 if wrong else 0
 
